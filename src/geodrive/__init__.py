@@ -18,7 +18,7 @@ from .invariants import (InconsistentAnglesError, InvariantAngles,
                          invariant_eigenstates, invariant_operator, lr_phase,
                          perturbative_fidelity)
 from .operators import (IntegrationFailure, K_X, K_Y, K_Z, commutator,
-                        hamiltonian, propagate_piecewise, scaled_frobenius_norm,
+                        hamiltonian, propagate_state, scaled_frobenius_norm,
                         spin1_generators)
 from .schedules import (ControlSchedule, TwoToneSchedule, noise_term,
                         reconstruct_curve, roundtrip_deviation, synthesize)

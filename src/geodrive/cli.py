@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +21,10 @@ from .invariants import InconsistentAnglesError
 from .operators import IntegrationFailure
 from .scenarios import (Scenario, ScenarioError, build_schedule,
                         geometric_pipeline, load_scenario)
-from .schedules import noise_term, roundtrip_deviation, synthesize, write_schedule_csv
-from .simulate import (NoiseModel, _max_workers, infidelity_scaling_exponent,
-                       run_lindblad, run_schrodinger, sweep_delta)
+from .schedules import (curve_deviation, end_distance, reconstruct_curve, synthesize,
+                        write_schedule_csv)
+from .simulate import (NoiseModel, infidelity_scaling_exponent, run_lindblad,
+                       run_schrodinger, sweep_delta)
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -105,9 +105,9 @@ def cmd_synthesize(scenario: Scenario, args) -> int:
         print(json.dumps({"error": "curve failed boundary validation",
                           **report.as_dict()}, indent=2, sort_keys=True), file=sys.stderr)
         return 1
-    natural = synthesize(geometry, mode=scenario.mode)
-    residual = roundtrip_deviation(arc, natural)
-    suppression = noise_term(natural)
+    reconstructed = reconstruct_curve(synthesize(geometry, mode=scenario.mode))
+    residual = curve_deviation(arc, reconstructed)
+    suppression = end_distance(reconstructed)
     curves.write_geometry_csv(geometry, out / "geometry.csv")
     write_schedule_csv(schedule, out / "schedule.csv", out / "schedule.json",
                        provenance={
@@ -155,12 +155,9 @@ def cmd_run(scenario: Scenario, args) -> int:
         "schemes": {},
     }
     failed = False
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        futures = {scheme: pool.submit(_run_one_scheme, scenario, scheme)
-                   for scheme in schemes}
     for scheme in schemes:
         try:
-            schedule, ideal, noisy = futures[scheme].result()
+            schedule, ideal, noisy = _run_one_scheme(scenario, scheme)
         except (IntegrationFailure, InconsistentAnglesError, ValueError) as exc:
             manifest["schemes"][scheme] = {"error": str(exc)}
             failed = True
@@ -238,6 +235,13 @@ def cmd_sweep(scenario: Scenario, args) -> int:
     return 0
 
 
+def _positive_float(text):
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="geodrive",
                                      description=__doc__.splitlines()[0])
@@ -252,7 +256,7 @@ def build_parser():
         cmd = sub.add_parser(name)
         cmd.add_argument("--scenario", required=True, help="scenario JSON file")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--tol", type=float, default=1e-6,
+        cmd.add_argument("--tol", type=_positive_float, default=1e-6,
                          help="boundary-condition tolerance")
         cmd.add_argument("--convention", choices=CONVENTIONS, default=ANGULAR,
                          help="how scenario frequencies are interpreted")

@@ -90,13 +90,15 @@ def curve_from_sympy(expressions, name="curve", max_order=3) -> ParametricCurve:
 
 
 _EXPRESSION_NAMES = {"sin", "cos", "pi", "d"}
+#: numeric literals, scientific notation included, outside identifiers
+_NUMBER = re.compile(r"(?<![A-Za-z_])(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 def _parse_component(component, text):
     if not isinstance(text, str) or not text.strip():
         raise CurveExpressionError(component, "expected a non-empty expression string")
     cleaned = text.replace("^", "**")
-    names = set(re.findall(r"[A-Za-z_]+", cleaned))
+    names = set(re.findall(r"[A-Za-z_]+", _NUMBER.sub(" ", cleaned)))
     unknown = names - _EXPRESSION_NAMES
     if unknown:
         raise CurveExpressionError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .operators import K_X, K_Y, K_Z, SQRT2, propagate_operator
+from .operators import K_X, K_Y, K_Z, SQRT2, propagate_operator, toggling_frame
 
 OMEGA0 = 1.0  # invariant eigenvalue scale; arbitrary, cancels in observables
 
@@ -259,10 +259,7 @@ def noise_suppression_term(schedule, n_samples: int = 2001, rtol: float = 1e-12,
     with the modes obtained by propagating the basis states under the ideal
     schedule.
     """
-    t0, t1 = schedule.time_span
-    times = np.linspace(t0, t1, n_samples)
-    props = propagate_operator(schedule, times, rtol=rtol, atol=atol)
-    mdot = np.einsum("nji,jk,nkl->nil", props.conj(), K_Z, props)
+    times, mdot = toggling_frame(schedule, n_samples, rtol=rtol, atol=atol)
     cross_12 = simpson(mdot[:, 0, 1], x=times)
     cross_13 = simpson(mdot[:, 0, 2], x=times)
     return float(abs(cross_12) ** 2 + abs(cross_13) ** 2)

@@ -92,18 +92,11 @@ def density_matrix_defects(rho: np.ndarray):
     return herm, tr, min_eig
 
 
-def _hamiltonian_fn(schedule_or_fn):
-    """Accept either a schedule object or a plain callable H(t)."""
-    if callable(schedule_or_fn) and not hasattr(schedule_or_fn, "hamiltonian"):
-        return schedule_or_fn
-    return schedule_or_fn.hamiltonian
-
-
-def _check_span(schedule_or_fn, t0, t1):
+def _check_span(schedule, t0, t1):
     if t1 <= t0:
         raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
-    span = getattr(schedule_or_fn, "time_span", None)
-    if span is not None and (t0 < span[0] - 1e-12 or t1 > span[1] + 1e-12):
+    span = schedule.time_span
+    if t0 < span[0] - 1e-12 or t1 > span[1] + 1e-12:
         raise ValueError(f"[{t0}, {t1}] outside schedule support {span}")
 
 
@@ -115,60 +108,50 @@ def _integrate(rhs, y0, t0, t1, rtol, atol, t_eval=None):
     return sol
 
 
-def propagate_piecewise(schedule, state: np.ndarray, t0: float, t1: float,
-                        tol: float = 1e-10) -> np.ndarray:
-    """Propagate a state under i d|psi>/dt = H(t)|psi> from t0 to t1.
+def _propagate(schedule, y0, times, delta, rtol, atol):
+    """Samples of Y solving i dY/dt = (H(t) + delta K_z) Y from Y(times[0]) = y0.
 
-    Adaptive high-order explicit Runge-Kutta with local relative tolerance
-    ``tol``.  The returned amplitudes are not renormalized; use
-    :func:`norm_defect` to inspect the drift.
+    ``y0`` is a ket (3,) or a matrix (3, 3); the result has shape
+    (len(times),) + y0.shape and is never renormalized.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _check_span(schedule, t0, t1)
-    hfun = _hamiltonian_fn(schedule)
-
-    def rhs(t, y):
-        return -1j * (hfun(t) @ y)
-
-    sol = _integrate(rhs, np.asarray(state, dtype=complex), t0, t1,
-                     rtol=tol, atol=max(tol * 1e-2, 1e-14))
-    return sol.y[:, -1]
-
-
-def propagate_state(schedule, state, times, rtol=1e-10, atol=1e-12):
-    """State samples at the given times (times[0] is the start)."""
     times = np.asarray(times, dtype=float)
     _check_span(schedule, times[0], times[-1])
-    hfun = _hamiltonian_fn(schedule)
+    hfun = schedule.hamiltonian
+    if delta:
+        shift = delta * K_Z
+
+        def hfun(t, base=hfun):
+            return base(t) + shift
+
+    shape = np.shape(y0)
 
     def rhs(t, y):
-        return -1j * (hfun(t) @ y)
+        # (-1j * H) @ Y, not -1j * (H @ Y): the propagator samples feed the
+        # invariant-angle fit, whose dI/dt defect is sensitive to the rounding
+        return ((-1j * hfun(t)) @ y.reshape(shape)).ravel()
 
-    sol = _integrate(rhs, np.asarray(state, dtype=complex), times[0], times[-1],
+    sol = _integrate(rhs, np.array(y0, dtype=complex).ravel(), times[0], times[-1],
                      rtol, atol, t_eval=times)
-    return sol.y.T.copy()
+    return np.ascontiguousarray(sol.y.T.reshape((-1,) + shape))
+
+
+def propagate_state(schedule, state, times, rtol=1e-10, atol=1e-12, delta=0.0):
+    """State samples at the given times (times[0] is the start) under H(t) + delta K_z."""
+    return _propagate(schedule, state, times, delta, rtol, atol)
 
 
 def propagate_operator(schedule, times, rtol=1e-10, atol=1e-12):
     """Propagator samples U(t, times[0]) as an (n, 3, 3) array."""
-    times = np.asarray(times, dtype=float)
-    _check_span(schedule, times[0], times[-1])
-    hfun = _hamiltonian_fn(schedule)
-
-    def rhs(t, y):
-        return (-1j * hfun(t) @ y.reshape(3, 3)).ravel()
-
-    sol = _integrate(rhs, IDENTITY3.ravel().copy(), times[0], times[-1],
-                     rtol, atol, t_eval=times)
-    return np.ascontiguousarray(sol.y.T.reshape(-1, 3, 3))
+    return _propagate(schedule, IDENTITY3, times, 0.0, rtol, atol)
 
 
-def propagator(schedule, t0=None, t1=None, rtol=1e-10, atol=1e-12):
-    """Full-interval propagator U(t1, t0) (defaults to the schedule span)."""
-    span = getattr(schedule, "time_span", None)
-    if t0 is None:
-        t0 = span[0] if span else 0.0
-    if t1 is None:
-        t1 = span[1]
-    return propagate_operator(schedule, np.array([t0, t1]), rtol, atol)[-1]
+def toggling_frame(schedule, n_samples, rtol=1e-10, atol=1e-12):
+    """Uniform grid over the schedule and the samples of U^dag K_z U on it.
+
+    U^dag K_z U is the toggling-frame noise operator, the integrand of the
+    noise integral m(t) = int U^dag K_z U dt'.
+    """
+    t0, t1 = schedule.time_span
+    times = np.linspace(t0, t1, n_samples)
+    props = propagate_operator(schedule, times, rtol=rtol, atol=atol)
+    return times, np.einsum("nji,jk,nkl->nil", props.conj(), K_Z, props)

@@ -16,7 +16,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
 
 from . import curves as _curves
-from .operators import K_X, K_Y, K_Z, SQRT2, hamiltonian, propagate_operator
+from .operators import K_X, K_Y, K_Z, SQRT2, hamiltonian, toggling_frame
 
 PHASE_MODE = "phase"
 DETUNING_MODE = "detuning"
@@ -241,21 +241,6 @@ def synthesize(geometry: "_curves.CurveGeometry", mode: str = PHASE_MODE) -> Con
 # inverse map: schedule -> curve (verification oracle)
 # ---------------------------------------------------------------------------
 
-def _noise_integral_samples(schedule, n_samples=None, rtol=1e-10, atol=1e-12):
-    """Tangent and position samples of the curve traced by m(t)."""
-    if n_samples is None:
-        n_samples = max(schedule.time.size, MIN_GRID)
-    t0, t1 = schedule.time_span
-    grid = np.linspace(t0, t1, n_samples)
-    props = propagate_operator(schedule, grid, rtol=rtol, atol=atol)
-    mdot = np.einsum("nji,jk,nkl->nil", props.conj(), K_Z, props)
-    tangents = np.stack([
-        0.5 * np.einsum("ij,nji->n", k, mdot).real for k in (K_X, K_Y, K_Z)
-    ], axis=1)
-    positions = cumulative_simpson(tangents, x=grid, initial=0.0, axis=0)
-    return grid - t0, positions, tangents
-
-
 def reconstruct_curve(schedule, tol: float = 1e-10,
                       n_samples: int = None) -> "_curves.ArcLengthCurve":
     """Recover r(t) from a schedule via the spin-1 expansion of m(t).
@@ -267,10 +252,20 @@ def reconstruct_curve(schedule, tol: float = 1e-10,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    grid, positions, tangents = _noise_integral_samples(
-        schedule, n_samples=n_samples, rtol=tol, atol=max(tol * 1e-2, 1e-14))
-    return _curves.from_samples(grid, positions, tangents,
+    if n_samples is None:
+        n_samples = max(schedule.time.size, MIN_GRID)
+    grid, mdot = toggling_frame(schedule, n_samples, rtol=tol, atol=max(tol * 1e-2, 1e-14))
+    tangents = np.stack([
+        0.5 * np.einsum("ij,nji->n", k, mdot).real for k in (K_X, K_Y, K_Z)
+    ], axis=1)
+    positions = cumulative_simpson(tangents, x=grid, initial=0.0, axis=0)
+    return _curves.from_samples(grid - grid[0], positions, tangents,
                                 name=f"reconstructed({getattr(schedule, 'mode', 'schedule')})")
+
+
+def end_distance(rec) -> float:
+    """|r_rec(T)| of a reconstructed curve, which starts at the origin."""
+    return float(np.linalg.norm(rec.position(rec.total_length)))
 
 
 def noise_term(schedule) -> float:
@@ -279,8 +274,7 @@ def noise_term(schedule) -> float:
     Zero (up to numerics) exactly when the schedule suppresses quasistatic
     K_z noise to second order.
     """
-    _, positions, _ = _noise_integral_samples(schedule)
-    return float(np.linalg.norm(positions[-1]))
+    return end_distance(reconstruct_curve(schedule))
 
 
 def _initial_normal(arc, n_probe=7):
@@ -295,13 +289,17 @@ def _initial_normal(arc, n_probe=7):
 
 
 def roundtrip_deviation(arc, schedule, n_samples: int = 1001) -> float:
-    """Max |R_z(gamma) r(t) - r_rec(t)| between a curve and its reconstruction.
+    """Max |R_z(gamma) r(t) - r_rec(t)| between a curve and its reconstruction."""
+    return curve_deviation(arc, reconstruct_curve(schedule), n_samples)
+
+
+def curve_deviation(arc, rec, n_samples: int = 1001) -> float:
+    """Max |R_z(gamma) r(t) - r_rec(t)| between a curve and a reconstruction.
 
     A schedule with phi(0) = 0 reconstructs the curve with its initial
     normal rotated onto +y; gamma removes exactly that global z-rotation
     (the constant-phase gauge of the driving fields) before comparing.
     """
-    rec = reconstruct_curve(schedule)
     normal = _initial_normal(arc)
     rec_normal = _initial_normal(rec)
     gamma = np.arctan2(rec_normal[1], rec_normal[0]) - np.arctan2(normal[1], normal[0])

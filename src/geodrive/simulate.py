@@ -7,16 +7,12 @@ the Hamiltonian (constant within a run), and longitudinal relaxation between
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .operators import (K_Z, KET_MINUS1, _integrate, density_matrix_defects,
                         norm_defect, propagate_state)
-
-THREADS_ENV = "GEODRIVE_THREADS"
 
 
 @dataclass
@@ -85,13 +81,7 @@ def run_schrodinger(schedule, noise: NoiseModel = None, initial=None,
         raise ValueError("run_schrodinger handles gamma = 0 only; use run_lindblad")
     psi0 = np.asarray(KET_MINUS1 if initial is None else initial, dtype=complex)
     times = _grid(schedule, n_samples)
-    shift = noise.delta * K_Z
-
-    def rhs(t, y):
-        return -1j * ((schedule.hamiltonian(t) + shift) @ y)
-
-    sol = _integrate(rhs, psi0.copy(), times[0], times[-1], rtol, atol, t_eval=times)
-    states = sol.y.T
+    states = propagate_state(schedule, psi0, times, rtol, atol, delta=noise.delta)
     populations = np.abs(states) ** 2
     return SimulationResult(
         time_grid=times,
@@ -156,47 +146,22 @@ def run_lindblad(schedule, noise: NoiseModel = None, initial=None,
     )
 
 
-def _max_workers():
-    value = os.environ.get(THREADS_ENV)
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def sweep_delta(schedule, deltas, gamma: float = 0.0, n_samples: int = 401,
                 rtol: float = 1e-10, atol: float = 1e-12):
-    """Final P_+1 for each quasistatic error strength; rows (delta, P_+1).
-
-    Runs are independent and execute on a small thread pool (capped by the
-    GEODRIVE_THREADS environment variable); results keep input order.
-    """
+    """Final P_+1 for each quasistatic error strength; rows (delta, P_+1)."""
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     if deltas.size == 0:
         raise ValueError("deltas must be non-empty")
-
-    def one(delta):
-        result = run_lindblad(schedule, NoiseModel(delta=float(delta), gamma=gamma),
-                              n_samples=n_samples, rtol=rtol, atol=atol)
-        return result.final_fidelity
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        fidelities = list(pool.map(one, deltas))
+    fidelities = [run_lindblad(schedule, NoiseModel(delta=float(delta), gamma=gamma),
+                               n_samples=n_samples, rtol=rtol, atol=atol).final_fidelity
+                  for delta in deltas]
     return np.column_stack([deltas, fidelities])
 
 
-class _ShiftedSchedule:
-    """Schedule view with a constant delta * K_z frequency-error term."""
-
-    def __init__(self, schedule, delta):
-        self._schedule = schedule
-        self._shift = delta * K_Z
-        self.time_span = schedule.time_span
-
-    def hamiltonian(self, t):
-        return self._schedule.hamiltonian(t) + self._shift
+def _final_state(schedule, delta, rtol, atol):
+    """|psi(T; delta)> from |-1> under H(t) + delta K_z."""
+    return propagate_state(schedule, KET_MINUS1, schedule.time_span, rtol, atol,
+                           delta=delta)[-1]
 
 
 def overlap_fidelity(schedule, delta: float, rtol: float = 1e-12,
@@ -207,11 +172,8 @@ def overlap_fidelity(schedule, delta: float, rtol: float = 1e-12,
     approximate ones (SRT) it isolates the noise-induced infidelity from the
     scheme's own ideal error floor.
     """
-    ends = np.array(schedule.time_span)
-    psi_ref = propagate_state(schedule, KET_MINUS1, ends, rtol=rtol, atol=atol)[-1]
-    psi_per = propagate_state(_ShiftedSchedule(schedule, delta), KET_MINUS1, ends,
-                              rtol=rtol, atol=atol)[-1]
-    return float(abs(np.vdot(psi_ref, psi_per)) ** 2)
+    psi_ref = _final_state(schedule, 0.0, rtol, atol)
+    return float(abs(np.vdot(psi_ref, _final_state(schedule, delta, rtol, atol))) ** 2)
 
 
 def infidelity_scaling_exponent(schedule, delta_lo: float, delta_hi: float,
@@ -220,7 +182,8 @@ def infidelity_scaling_exponent(schedule, delta_lo: float, delta_hi: float,
                                 floor: float = 1e-12) -> float:
     """Least-squares slope of log(1 - F) against log(delta), gamma = 0.
 
-    F is the overlap fidelity against the unperturbed evolution.
+    F is the overlap fidelity against the unperturbed evolution, which is
+    propagated once and shared by all deltas.
     Infidelities at or below ``floor`` are dropped as numerical noise;
     fewer than 3 surviving points is an error.
     """
@@ -229,8 +192,10 @@ def infidelity_scaling_exponent(schedule, delta_lo: float, delta_hi: float,
     if n < 5:
         raise ValueError("need at least 5 sample points")
     deltas = np.geomspace(delta_lo, delta_hi, n)
-    infidelities = np.array([1.0 - overlap_fidelity(schedule, d, rtol, atol)
-                             for d in deltas])
+    psi_ref = _final_state(schedule, 0.0, rtol, atol)
+    infidelities = np.array([
+        1.0 - abs(np.vdot(psi_ref, _final_state(schedule, d, rtol, atol))) ** 2
+        for d in deltas])
     keep = infidelities > floor
     if np.count_nonzero(keep) < 3:
         raise ValueError("fewer than 3 infidelity points above the numerical floor")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import geodrive as gd
+from geodrive import operators
 from geodrive.baselines import srt_schedule, sta_schedule, stirap_schedule
 from geodrive.invariants import angles_from_schedule
 
@@ -59,3 +60,17 @@ def sta_angles(sta):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The (t0, t1) of every ODE solve made through operators._integrate."""
+    spans = []
+    integrate = operators._integrate
+
+    def counted(rhs, y0, t0, t1, *args, **kwargs):
+        spans.append((t0, t1))
+        return integrate(rhs, y0, t0, t1, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "_integrate", counted)
+    return spans

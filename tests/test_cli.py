@@ -108,6 +108,16 @@ class TestValidateCurveCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate-curve", "synthesize"])
+@pytest.mark.parametrize("tol", ["0", "-1e-6"])
+def test_nonpositive_tol_is_input_error(tmp_path, capsys, command, tol):
+    path = write_scenario(tmp_path, REFERENCE)
+    code = main([command, "--scenario", str(path), "--out", str(tmp_path / "o"),
+                 "--tol", tol])
+    assert code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 class TestSynthesizeCommand:
     def test_outputs_and_reproducibility(self, tmp_path, capsys):
         path = write_scenario(tmp_path, REFERENCE)
@@ -123,6 +133,11 @@ class TestSynthesizeCommand:
         assert main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 0
         assert (out / "schedule.csv").read_bytes() == first
         assert (out / "geometry.csv").read_bytes() == geometry_first
+
+    def test_reconstructs_once(self, tmp_path, capsys, solves):
+        path = write_scenario(tmp_path, REFERENCE)
+        assert main(["synthesize", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(solves) == 1
 
     def test_failing_curve_aborts(self, tmp_path, capsys):
         payload = {**REFERENCE, "curve": {"x": "0", "y": "0", "z": "3*d"}}

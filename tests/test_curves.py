@@ -206,6 +206,22 @@ class TestCurveInputs:
             curve_from_expressions("exp(d)", "0", "d")
         assert err.value.component == "x"
 
+    @pytest.mark.parametrize("scientific, fixed", [
+        ("1e-3*sin(pi*d)", "0.001*sin(pi*d)"),
+        ("2.5E+2*d^2", "250.0*d^2"),
+        ("1e3*cos(pi*d)", "1000.0*cos(pi*d)"),
+    ])
+    def test_expression_scientific_notation(self, scientific, fixed):
+        d = np.linspace(0.0, 1.0, 11)
+        expected = curve_from_expressions(fixed, "d", "d^2").position(d)
+        assert np.array_equal(
+            curve_from_expressions(scientific, "d", "d^2").position(d), expected)
+
+    @pytest.mark.parametrize("text", ["e*d", "2e*d"])
+    def test_expression_rejects_bare_e(self, text):
+        with pytest.raises(CurveExpressionError, match="unknown names"):
+            curve_from_expressions(text, "0", "d")
+
     def test_expression_rejects_bad_syntax(self):
         with pytest.raises(CurveExpressionError):
             curve_from_expressions("1", "0", "d*(")

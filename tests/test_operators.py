@@ -4,8 +4,8 @@ from scipy.linalg import expm
 
 from geodrive.operators import (K_X, K_Y, K_Z, KET_MINUS1, KET_0, KET_PLUS1,
                                 IntegrationFailure, commutator, hamiltonian,
-                                norm_defect, propagate_piecewise,
-                                propagate_operator, scaled_frobenius_norm,
+                                norm_defect, propagate_operator,
+                                propagate_state, scaled_frobenius_norm,
                                 spin1_generators, unitarity_defect)
 
 SQRT2 = np.sqrt(2.0)
@@ -103,11 +103,15 @@ class _ConstantDrive:
         return self._h
 
 
+def final_state(drive, psi, t0, t1):
+    return propagate_state(drive, psi, [t0, t1])[-1]
+
+
 class TestPropagation:
     def test_pi_pulse_matches_closed_form(self):
         omega = 1.3
         drive = _ConstantDrive(omega * K_X, np.pi / omega)
-        out = propagate_piecewise(drive, KET_MINUS1, 0.0, np.pi / omega)
+        out = final_state(drive, KET_MINUS1, 0.0, np.pi / omega)
         exact = expm(-1j * np.pi * K_X) @ KET_MINUS1
         assert np.allclose(out, exact, atol=1e-9)
         # complete transfer up to a global phase
@@ -116,12 +120,12 @@ class TestPropagation:
     def test_zero_schedule_is_identity(self):
         drive = _ConstantDrive(np.zeros((3, 3), dtype=complex), 1.0)
         psi = np.array([0.6, 0.8j, 0.0])
-        out = propagate_piecewise(drive, psi, 0.0, 1.0)
+        out = final_state(drive, psi, 0.0, 1.0)
         assert np.allclose(out, psi, atol=1e-12)
 
     def test_norm_is_preserved(self):
         drive = _ConstantDrive(hamiltonian(2.0, 0.7, 0.3), 3.0)
-        out = propagate_piecewise(drive, KET_MINUS1, 0.0, 3.0)
+        out = final_state(drive, KET_MINUS1, 0.0, 3.0)
         assert norm_defect(out) <= 1e-9
 
     def test_propagator_unitarity(self, scaled_schedule):
@@ -131,16 +135,24 @@ class TestPropagation:
     def test_partial_interval(self):
         omega = 0.9
         drive = _ConstantDrive(omega * K_X, 4.0)
-        out = propagate_piecewise(drive, KET_MINUS1, 0.5, 2.5)
+        out = final_state(drive, KET_MINUS1, 0.5, 2.5)
         exact = expm(-2j * omega * K_X) @ KET_MINUS1
         assert np.allclose(out, exact, atol=1e-9)
 
     def test_invalid_interval_rejected(self):
         drive = _ConstantDrive(K_X, 1.0)
         with pytest.raises(ValueError):
-            propagate_piecewise(drive, KET_MINUS1, 0.5, 0.5)
+            final_state(drive, KET_MINUS1, 0.5, 0.5)
         with pytest.raises(ValueError):
-            propagate_piecewise(drive, KET_MINUS1, 0.0, 2.0)  # outside support
+            final_state(drive, KET_MINUS1, 0.0, 2.0)  # outside support
+
+    @pytest.mark.parametrize("delta", [0.0, 0.4, -1.1])
+    def test_delta_shift_matches_closed_form(self, delta):
+        h = hamiltonian(1.2, 0.3, 0.7)
+        drive = _ConstantDrive(h, 2.0)
+        out = propagate_state(drive, KET_MINUS1, [0.0, 2.0], delta=delta)[-1]
+        exact = expm(-2j * (h + delta * K_Z)) @ KET_MINUS1
+        assert np.allclose(out, exact, atol=1e-9)
 
     def test_integration_failure_carries_time(self):
         class Singular:
@@ -151,5 +163,5 @@ class TestPropagation:
                 return K_X / (0.5 - t)
 
         with pytest.raises(IntegrationFailure) as err:
-            propagate_piecewise(Singular, KET_MINUS1, 0.0, 1.0)
+            final_state(Singular, KET_MINUS1, 0.0, 1.0)
         assert 0.0 <= err.value.time <= 1.0

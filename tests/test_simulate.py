@@ -3,12 +3,18 @@ import pytest
 
 from geodrive.operators import KET_0
 from geodrive.schedules import ControlSchedule
-from geodrive.simulate import (NoiseModel, _max_workers,
-                               infidelity_scaling_exponent, overlap_fidelity,
-                               relaxation_channels, run_lindblad,
-                               run_schrodinger, sweep_delta)
+from geodrive.simulate import (NoiseModel, infidelity_scaling_exponent,
+                               overlap_fidelity, relaxation_channels,
+                               run_lindblad, run_schrodinger, sweep_delta)
 
 GAMMA_NV = 0.002  # 2 kHz in rad/us
+
+
+def constant_pulse_fidelity(delta):
+    """Closed-form final P_+1 of the constant pi pulse under delta K_z."""
+    x2 = (2.0 * delta / np.pi) ** 2
+    p = np.sin(0.5 * np.pi * np.sqrt(1.0 + x2)) ** 2 / (1.0 + x2)
+    return p ** 2
 
 
 def quiet_schedule(duration=1.0, n=501):
@@ -123,14 +129,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_delta(sta, [])
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("GEODRIVE_THREADS", "2")
-        assert _max_workers() == 2
-        monkeypatch.setenv("GEODRIVE_THREADS", "not-a-number")
-        assert _max_workers() >= 1
-        monkeypatch.delenv("GEODRIVE_THREADS")
-        assert _max_workers() >= 1
-
 
 class TestScalingExponents:
     def test_geometric_quartic_suppression(self, scaled_schedule):
@@ -152,8 +150,26 @@ class TestScalingExponents:
         with pytest.raises(ValueError):
             infidelity_scaling_exponent(sta, 0.1, 0.01)
 
+    def test_reference_state_propagated_once(self, sta, solves):
+        infidelity_scaling_exponent(sta, 0.01, 0.1, n=5)
+        assert len(solves) == 5 + 1
+
     def test_overlap_equals_population_for_exact_transfer(self, scaled_schedule):
         pop = run_schrodinger(scaled_schedule, NoiseModel(delta=0.05),
                               rtol=1e-12, atol=1e-14).final_fidelity
         ovl = overlap_fidelity(scaled_schedule, 0.05)
         assert ovl == pytest.approx(pop, abs=1e-8)
+
+
+@pytest.mark.parametrize("delta", [0.05, -0.05, 0.5])
+class TestConstantPulseOracle:
+    """The delta path against the constant pulse's closed form F = p^2."""
+
+    def test_overlap_fidelity(self, sta, delta):
+        assert overlap_fidelity(sta, delta) == pytest.approx(
+            constant_pulse_fidelity(delta), abs=1e-10)
+
+    def test_schrodinger_final_population(self, sta, delta):
+        result = run_schrodinger(sta, NoiseModel(delta=delta))
+        assert result.final_fidelity == pytest.approx(
+            constant_pulse_fidelity(delta), abs=1e-9)
