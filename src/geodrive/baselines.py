@@ -19,6 +19,14 @@ from .schedules import (DETUNING_MODE, MIN_GRID, ControlSchedule,
 TWO_SQRT2_PI = 2.0 * SQRT2 * np.pi
 
 
+class BaselineParamError(ValueError):
+    """A baseline parameter is out of range; carries the parameter name."""
+
+    def __init__(self, param, message):
+        super().__init__(f"{param} {message}")
+        self.param = param
+
+
 @dataclass
 class SrtParams:
     """Far-detuned Raman transfer through the virtually-populated |0>."""
@@ -28,8 +36,12 @@ class SrtParams:
     duration: float = None              # None: first simulated P_+1 maximum
 
     def __post_init__(self):
+        if self.rabi < 0:
+            raise BaselineParamError("rabi", f"must be non-negative, got {self.rabi}")
         if self.detuning == 0:
-            raise ValueError("SRT requires a nonzero detuning")
+            raise BaselineParamError("detuning", "must be nonzero for SRT")
+        if self.duration is not None and self.duration <= 0:
+            raise BaselineParamError("duration", f"must be positive, got {self.duration}")
 
     @property
     def effective_rabi(self) -> float:
@@ -47,10 +59,11 @@ class StirapParams:
     window: float = 14.0     # total schedule duration
 
     def __post_init__(self):
-        if self.separation <= 0:
-            raise ValueError("separation must be positive")
-        if self.width <= 0 or self.window <= 0:
-            raise ValueError("width and window must be positive")
+        if self.peak < 0:
+            raise BaselineParamError("peak", f"must be non-negative, got {self.peak}")
+        for name in ("separation", "width", "window"):
+            if getattr(self, name) <= 0:
+                raise BaselineParamError(name, f"must be positive, got {getattr(self, name)}")
 
     @property
     def centers(self):
@@ -68,10 +81,12 @@ class StaParams:
     duration: float = 2.0
 
     def __post_init__(self):
+        if self.duration <= 0:
+            raise BaselineParamError("duration", f"must be positive, got {self.duration}")
         area = (self.rabi / SQRT2) * self.duration
         if abs(area - np.pi) > 1e-9:
-            raise ValueError(
-                f"reduced pulse area must be pi for a complete transfer, got {area}")
+            raise BaselineParamError(
+                "rabi", f"gives reduced pulse area {area}; a complete transfer needs pi")
 
 
 def _constant_two_tone(amplitude, detuning, duration, n_samples, warnings=()):

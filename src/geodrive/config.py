@@ -25,7 +25,3 @@ def to_angular(value: float, convention: str = ANGULAR) -> float:
         return float(value) * TWO_PI
     raise ValueError(f"unknown frequency convention {convention!r}")
 
-
-def relaxation_rate_from_khz(value_khz: float, convention: str = ANGULAR) -> float:
-    """Relaxation rate given in kHz, expressed in rad/us (2 kHz -> 0.002)."""
-    return to_angular(value_khz * 1e-3, convention)

@@ -218,16 +218,30 @@ def reference_curve() -> ParametricCurve:
 
 @dataclass
 class ArcLengthCurve:
-    """Unit-speed curve r(t) on t in [0, L] with derivatives to order 3."""
+    """Unit-speed curve r(t) on t in [0, L] with derivatives to order 3.
+
+    ``jet`` maps an (n,) arc-length array to the (n, 3) arrays
+    (r, r', r'', r''') from one evaluation; the four accessors below each
+    return one of them.
+    """
 
     total_length: float
-    position: callable
-    tangent: callable
-    second_derivative: callable
-    third_derivative: callable
+    jet: callable
     parameter_map: callable = None  # t -> original parameter d, when applicable
     source: ParametricCurve = None
     name: str = "curve"
+
+    def position(self, t):
+        return self.jet(t)[0]
+
+    def tangent(self, t):
+        return self.jet(t)[1]
+
+    def second_derivative(self, t):
+        return self.jet(t)[2]
+
+    def third_derivative(self, t):
+        return self.jet(t)[3]
 
 
 def _gauss_panels(n_quad):
@@ -299,6 +313,7 @@ def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
     d1f, d2f, d3f = (curve.derivative(k) for k in (1, 2, 3))
 
     def chain(t_values):
+        # one inversion d(t), then the chain rule for the three t-derivatives
         dv = invert(t_values)
         v1, v2, v3 = d1f(dv), d2f(dv), d3f(dv)
         speed = np.linalg.norm(v1, axis=1, keepdims=True)
@@ -308,14 +323,11 @@ def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
         rddot = v2 / speed**2 - v1 * a / speed**4
         rdddot = (v3 / speed**3 - 3.0 * v2 * a / speed**5
                   - v1 * b / speed**5 + 4.0 * v1 * a**2 / speed**7)
-        return dv, rdot, rddot, rdddot
+        return curve.position(dv), rdot, rddot, rdddot
 
     return ArcLengthCurve(
         total_length=total,
-        position=lambda t: curve.position(invert(t)),
-        tangent=lambda t: chain(t)[1],
-        second_derivative=lambda t: chain(t)[2],
-        third_derivative=lambda t: chain(t)[3],
+        jet=chain,
         parameter_map=invert,
         source=curve,
         name=curve.name,
@@ -343,19 +355,13 @@ def from_samples(times, positions, tangents, name="reconstructed") -> ArcLengthC
     times = np.asarray(times, dtype=float)
     spline = CubicHermiteSpline(times, np.asarray(positions, dtype=float),
                                 np.asarray(tangents, dtype=float))
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-    d3 = spline.derivative(3)
+    pieces = (spline,) + tuple(spline.derivative(k) for k in (1, 2, 3))
 
-    def wrap(f):
-        return lambda t: np.atleast_2d(f(np.atleast_1d(np.asarray(t, dtype=float))))
+    def jet(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return tuple(np.atleast_2d(f(t)) for f in pieces)
 
-    return ArcLengthCurve(
-        total_length=float(times[-1] - times[0]),
-        position=wrap(spline), tangent=wrap(d1),
-        second_derivative=wrap(d2), third_derivative=wrap(d3),
-        name=name,
-    )
+    return ArcLengthCurve(total_length=float(times[-1] - times[0]), jet=jet, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +393,7 @@ def curvature_torsion(arc: ArcLengthCurve, n_samples: int = 2001,
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     grid = np.linspace(0.0, arc.total_length, n_samples)
-    rdot = arc.tangent(grid)
-    rddot = arc.second_derivative(grid)
-    rdddot = arc.third_derivative(grid)
+    _, rdot, rddot, rdddot = arc.jet(grid)
     kappa = np.linalg.norm(rddot, axis=1)
     cross = np.cross(rdot, rddot)
     denom = (cross**2).sum(axis=1)
@@ -432,8 +436,7 @@ def check_boundary_conditions(arc: ArcLengthCurve, tol: float = 1e-6) -> Boundar
     """Check r(L) = r(0), r'(0) = (0,0,1) and r'(L) = (0,0,-1)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    ends = arc.position(np.array([0.0, arc.total_length]))
-    tangents = arc.tangent(np.array([0.0, arc.total_length]))
+    ends, tangents = arc.jet(np.array([0.0, arc.total_length]))[:2]
     closure = float(np.linalg.norm(ends[1] - ends[0]))
     start = float(np.linalg.norm(tangents[0] - np.array([0.0, 0.0, 1.0])))
     end = float(np.linalg.norm(tangents[1] - np.array([0.0, 0.0, -1.0])))

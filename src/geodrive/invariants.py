@@ -25,15 +25,23 @@ class InconsistentAnglesError(RuntimeError):
     """Propagator samples do not fit the three-angle factorization."""
 
 
-def invariant_eigenstates(theta: float, beta: float):
-    """Eigenstates of the invariant for eigenvalues (+1, 0, -1) * Omega0."""
+def invariant_eigenstates(theta, beta):
+    """Eigenstates of the invariant for eigenvalues (+1, 0, -1) * Omega0.
+
+    Vectorized over the leading axes of theta and beta; each state has the
+    shape of the broadcast inputs plus a trailing axis of 3.  Assembled so
+    that phi3 is exactly the flip-conjugate of phi1 sample by sample; the
+    mode-phase identities then cancel at machine precision.
+    """
+    theta, beta = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                      np.asarray(beta, dtype=float))
     c2 = np.cos(theta / 2.0) ** 2
     s2 = np.sin(theta / 2.0) ** 2
     sn = np.sin(theta) / SQRT2
     e = np.exp(1j * beta)
-    phi1 = np.array([c2 * e.conj(), sn, s2 * e])
-    phi2 = np.array([-sn * e.conj(), np.cos(theta), sn * e])
-    phi3 = np.array([s2 * e.conj(), -sn, c2 * e])
+    phi1 = np.stack([c2 * e.conj(), sn + 0j, s2 * e], axis=-1)
+    phi2 = np.stack([-sn * e.conj(), np.cos(theta) + 0j, sn * e], axis=-1)
+    phi3 = np.stack([s2 * e.conj(), -sn + 0j, c2 * e], axis=-1)
     return phi1, phi2, phi3
 
 
@@ -49,24 +57,14 @@ def invariant_operator(theta, beta, omega0: float = OMEGA0):
 
 
 def evolution_operator(theta, beta, alpha):
-    """The three-angle propagator matrix (vectorized over leading axes)."""
-    theta = np.asarray(theta, dtype=float)
-    c2 = np.cos(theta / 2.0) ** 2
-    s2 = np.sin(theta / 2.0) ** 2
-    sn = np.sin(theta) / SQRT2
-    eb = np.exp(1j * np.asarray(beta, dtype=float))
-    ea = np.exp(1j * np.asarray(alpha, dtype=float))
-    u = np.empty(theta.shape + (3, 3), dtype=complex)
-    u[..., 0, 0] = c2 * eb.conj() * ea
-    u[..., 0, 1] = -sn * eb.conj()
-    u[..., 0, 2] = s2 * eb.conj() * ea.conj()
-    u[..., 1, 0] = sn * ea
-    u[..., 1, 1] = np.cos(theta)
-    u[..., 1, 2] = -sn * ea.conj()
-    u[..., 2, 0] = s2 * eb * ea
-    u[..., 2, 1] = sn * eb
-    u[..., 2, 2] = c2 * eb * ea.conj()
-    return u
+    """The three-angle propagator matrix (vectorized over leading axes).
+
+    Its columns are the invariant eigenstates times e^{i alpha}, 1 and
+    e^{-i alpha}.
+    """
+    phi1, phi2, phi3 = invariant_eigenstates(theta, beta)
+    ea = np.exp(1j * np.asarray(alpha, dtype=float))[..., None]
+    return np.stack([phi1 * ea, phi2, phi3 * ea.conj()], axis=-1)
 
 
 @dataclass
@@ -86,12 +84,6 @@ class InvariantAngles:
     frame_offset: float
     residual: float
     propagators: np.ndarray = None
-
-    def at(self, t):
-        t = np.asarray(t, dtype=float)
-        return (np.interp(t, self.time, self.theta),
-                np.interp(t, self.time, self.beta),
-                np.interp(t, self.time, self.alpha))
 
     def rebuilt_propagators(self):
         return evolution_operator(self.theta, self.beta,
@@ -199,31 +191,8 @@ def angles_from_schedule(schedule, n_samples: int = 10_001, rtol: float = 1e-11,
 
 
 def _eigenstate_stack(angles: InvariantAngles):
-    """All three eigenstate trajectories built from shared trig arrays.
-
-    Assembled so that phi3 is exactly the flip-conjugate of phi1 sample by
-    sample; the mode-phase identities then cancel at machine precision.
-    """
-    theta, beta = angles.theta, angles.beta
-    c2 = np.cos(theta / 2.0) ** 2
-    s2 = np.sin(theta / 2.0) ** 2
-    sn = np.sin(theta) / SQRT2
-    e = np.exp(1j * beta)
-    states = np.empty((3, theta.size, 3), dtype=complex)
-    states[0] = np.stack([c2 * e.conj(), sn + 0j, s2 * e], axis=1)
-    states[1] = np.stack([-sn * e.conj(), np.cos(theta) + 0j, sn * e], axis=1)
-    states[2] = np.stack([s2 * e.conj(), -sn + 0j, c2 * e], axis=1)
-    return states
-
-
-def _schedule_hamiltonians(schedule, times):
-    sampler = getattr(schedule, "hamiltonians", None)
-    if sampler is not None:
-        return sampler(times)
-    hams = np.empty((times.size, 3, 3), dtype=complex)
-    for i, t in enumerate(times):
-        hams[i] = schedule.hamiltonian(t)
-    return hams
+    """All three eigenstate trajectories, shape (3, n, 3)."""
+    return np.stack(invariant_eigenstates(angles.theta, angles.beta))
 
 
 def lr_phase_series(schedule, angles: InvariantAngles, mode_index: int = 1):
@@ -239,7 +208,7 @@ def lr_phase_series(schedule, angles: InvariantAngles, mode_index: int = 1):
     dt = angles.time[1] - angles.time[0]
     dstates = np.gradient(states, dt, axis=0, edge_order=2)
     inner_dt = np.einsum("nj,nj->n", states.conj(), dstates)
-    hams = _schedule_hamiltonians(schedule, angles.time)
+    hams = schedule.hamiltonians(angles.time)
     inner_h = np.einsum("nj,njk,nk->n", states.conj(), hams, states)
     integrand = (1j * inner_dt - inner_h).real
     return cumulative_simpson(integrand, x=angles.time, initial=0.0)
@@ -282,7 +251,7 @@ def invariant_defect(schedule, angles: InvariantAngles, omega0: float = OMEGA0):
     dt = angles.time[1] - angles.time[0]
     di = (-i_op[4:] + 8.0 * i_op[3:-1] - 8.0 * i_op[1:-3] + i_op[:-4]) / (12.0 * dt)
     interior = angles.time[2:-2]
-    hams = _schedule_hamiltonians(schedule, interior)
+    hams = schedule.hamiltonians(interior)
     comm = np.matmul(i_op[2:-2], hams) - np.matmul(hams, i_op[2:-2])
     defect = di - 1j * comm
     return np.linalg.norm(defect, axis=(1, 2)) / SQRT2

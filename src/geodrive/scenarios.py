@@ -103,39 +103,30 @@ def _load_curve(spec, base_dir, convention):
     raise ScenarioError("curve", f"expected string or object, got {type(spec).__name__}")
 
 
+_BASELINES = {  # block -> (params class, ((key, frequency-like), ...))
+    "srt": (baselines.SrtParams, (("rabi", True), ("detuning", True), ("duration", False))),
+    "stirap": (baselines.StirapParams, (("peak", True), ("separation", False),
+                                        ("width", False), ("window", False))),
+    "sta": (baselines.StaParams, (("rabi", True), ("phase", False), ("duration", False))),
+}
+
+
 def _baseline_params(raw, convention):
-    srt_raw = _require(raw, "srt", dict, "scenario", default={})
-    stirap_raw = _require(raw, "stirap", dict, "scenario", default={})
-    sta_raw = _require(raw, "sta", dict, "scenario", default={})
-
-    def conv(mapping, key, where, freq=False):
-        value = _require(mapping, key, float, where)
-        if value is None:
-            return None
-        return to_angular(value, convention) if freq else value
-
-    srt_kwargs = {}
-    for key, freq in (("rabi", True), ("detuning", True), ("duration", False)):
-        value = conv(srt_raw, key, "scenario.srt", freq)
-        if value is not None:
-            srt_kwargs[key] = value
-    stirap_kwargs = {}
-    for key, freq in (("peak", True), ("separation", False), ("width", False),
-                      ("window", False)):
-        value = conv(stirap_raw, key, "scenario.stirap", freq)
-        if value is not None:
-            stirap_kwargs[key] = value
-    sta_kwargs = {}
-    for key, freq in (("rabi", True), ("phase", False), ("duration", False)):
-        value = conv(sta_raw, key, "scenario.sta", freq)
-        if value is not None:
-            sta_kwargs[key] = value
-    try:
-        return (baselines.SrtParams(**srt_kwargs),
-                baselines.StirapParams(**stirap_kwargs),
-                baselines.StaParams(**sta_kwargs))
-    except ValueError as exc:
-        raise ScenarioError("scenario baselines", str(exc)) from exc
+    """The (SrtParams, StirapParams, StaParams) blocks; a bad value names its field."""
+    blocks = []
+    for block, (cls, keys) in _BASELINES.items():
+        block_raw = _require(raw, block, dict, "scenario", default={})
+        where = f"scenario.{block}"
+        kwargs = {}
+        for key, freq in keys:
+            value = _require(block_raw, key, float, where)
+            if value is not None:
+                kwargs[key] = to_angular(value, convention) if freq else value
+        try:
+            blocks.append(cls(**kwargs))
+        except baselines.BaselineParamError as exc:
+            raise ScenarioError(f"{where}.{exc.param}", str(exc)) from exc
+    return tuple(blocks)
 
 
 def load_scenario(path, convention: str = ANGULAR) -> Scenario:

@@ -16,7 +16,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
 
 from . import curves as _curves
-from .operators import K_X, K_Y, K_Z, SQRT2, hamiltonian, toggling_frame
+from .operators import K_X, K_Y, K_Z, SQRT2, toggling_frame
 
 PHASE_MODE = "phase"
 DETUNING_MODE = "detuning"
@@ -33,18 +33,22 @@ def _uniform(time):
 
 
 class _InterpolatedFields:
-    """Shared plumbing: cached PCHIP interpolants plus range checking."""
+    """Shared plumbing: one cached PCHIP interpolant over the stacked
+    ``_FIELDS`` columns, range-checked field values, and H(t) at one time
+    as the single-time case of the vectorized ``hamiltonians``."""
 
-    def _interp(self, name):
-        cache = self.__dict__.setdefault("_interp_cache", {})
-        if name not in cache:
-            cache[name] = PchipInterpolator(self.time, getattr(self, name))
-        return cache[name]
-
-    def _check_range(self, t):
+    def values(self, t):
+        """Field values at t, one per entry of ``_FIELDS``; raises outside the grid."""
         t0, t1 = self.time_span
         if np.any(np.asarray(t) < t0 - 1e-12) or np.any(np.asarray(t) > t1 + 1e-12):
             raise ValueError(f"t = {t} outside schedule support [{t0}, {t1}]")
+        if "_interpolant" not in self.__dict__:
+            columns = np.stack([getattr(self, name) for name in self._FIELDS], axis=-1)
+            self._interpolant = PchipInterpolator(self.time, columns)
+        return tuple(np.moveaxis(self._interpolant(t), -1, 0))
+
+    def hamiltonian(self, t):
+        return self.hamiltonians(np.array([t], dtype=float))[0]
 
     @property
     def time_span(self):
@@ -74,6 +78,8 @@ class ControlSchedule(_InterpolatedFields):
     mode: str = PHASE_MODE
     warnings: tuple = ()
 
+    _FIELDS = ("omega", "delta", "phi")
+
     def __post_init__(self):
         self.time = np.asarray(self.time, dtype=float)
         self.omega = np.asarray(self.omega, dtype=float)
@@ -83,7 +89,7 @@ class ControlSchedule(_InterpolatedFields):
         if n < MIN_GRID:
             raise ValueError(f"schedule grid needs at least {MIN_GRID} points, got {n}")
         _uniform(self.time)
-        for name in ("omega", "delta", "phi"):
+        for name in self._FIELDS:
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must match the time grid")
         if np.min(self.omega) < -1e-12:
@@ -93,14 +99,6 @@ class ControlSchedule(_InterpolatedFields):
             raise ValueError("phase-mode schedules must have delta == 0")
         if self.mode == DETUNING_MODE and np.ptp(self.phi) > 1e-12:
             raise ValueError("detuning-mode schedules must have constant phi")
-
-    def values(self, t):
-        self._check_range(t)
-        return self._interp("omega")(t), self._interp("delta")(t), self._interp("phi")(t)
-
-    def hamiltonian(self, t):
-        om, de, ph = self.values(t)
-        return hamiltonian(max(float(om), 0.0), float(de), float(ph))
 
     def hamiltonians(self, times):
         """Vectorized Hamiltonian samples, shape (n, 3, 3)."""
@@ -161,21 +159,6 @@ class TwoToneSchedule(_InterpolatedFields):
             setattr(self, name, arr)
         if min(np.min(self.pump_omega), np.min(self.stokes_omega)) < -1e-12:
             raise ValueError("envelopes must be non-negative")
-
-    def values(self, t):
-        self._check_range(t)
-        return tuple(self._interp(name)(t) for name in self._FIELDS)
-
-    def hamiltonian(self, t):
-        om_p, om_s, de_p, de_s, ph_p, ph_s = (float(v) for v in self.values(t))
-        h = np.zeros((3, 3), dtype=complex)
-        h[0, 0] = de_p
-        h[2, 2] = de_s
-        h[0, 1] = om_p / SQRT2 * np.exp(-1j * ph_p)
-        h[1, 0] = np.conj(h[0, 1])
-        h[1, 2] = om_s / SQRT2 * np.exp(1j * ph_s)
-        h[2, 1] = np.conj(h[1, 2])
-        return h
 
     def hamiltonians(self, times):
         """Vectorized Hamiltonian samples, shape (n, 3, 3)."""
@@ -322,12 +305,8 @@ def write_schedule_csv(schedule, path, sidecar_path=None, provenance=None):
     """
     two_tone = isinstance(schedule, TwoToneSchedule)
     with open(path, "w", newline="") as fh:
-        if two_tone:
-            fh.write("t,pump_omega,stokes_omega,pump_delta,stokes_delta,pump_phi,stokes_phi\n")
-            cols = [schedule.time] + [getattr(schedule, f) for f in TwoToneSchedule._FIELDS]
-        else:
-            fh.write("t,omega,delta,phi\n")
-            cols = [schedule.time, schedule.omega, schedule.delta, schedule.phi]
+        fh.write(",".join(("t",) + schedule._FIELDS) + "\n")
+        cols = [schedule.time] + [getattr(schedule, f) for f in schedule._FIELDS]
         for row in zip(*cols):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     if sidecar_path is not None:

@@ -186,6 +186,31 @@ class TestRunCommand:
         assert geo["noisy_final_p_plus1"] >= 0.98
 
 
+BAD_BASELINES = [
+    ("srt", {"duration": 0.0}, "scenario.srt.duration"),
+    ("srt", {"rabi": -8.0}, "scenario.srt.rabi"),
+    ("stirap", {"peak": -5.0}, "scenario.stirap.peak"),
+    # passes the pulse-area check: (rabi / sqrt 2) * duration = pi
+    ("sta", {"rabi": -np.pi / np.sqrt(2.0), "duration": -2.0}, "scenario.sta.duration"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("scheme, block, field", BAD_BASELINES,
+                         ids=[f for _, _, f in BAD_BASELINES])
+def test_malformed_baseline_block_is_input_error(tmp_path, capsys, command, scheme,
+                                                 block, field):
+    payload = {"version": 1, "scheme": scheme, scheme: block,
+               "sweep": {"start": -0.2, "stop": 0.2, "count": 3,
+                         "scaling": {"lo": 0.02, "hi": 0.1, "n": 5}}}
+    path = write_scenario(tmp_path, payload)
+    code = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("scenario error: ")
+    assert field in err
+
+
 class TestSweepCommand:
     def test_requires_sweep_block(self, tmp_path):
         path = write_scenario(tmp_path, {"version": 1, "scheme": "sta"})

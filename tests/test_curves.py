@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from geodrive.curves import (CurveExpressionError, DegenerateCurveError,
-                             check_boundary_conditions, curvature_torsion,
-                             curve_from_expressions, curve_from_position,
+                             ParametricCurve, check_boundary_conditions,
+                             curvature_torsion, curve_from_expressions,
+                             curve_from_position, curve_from_table,
                              read_curve_table, reference_curve,
                              reparametrize_by_arclength, write_geometry_csv)
+from geodrive.schedules import reconstruct_curve, synthesize
 
 SQRT2 = np.sqrt(2.0)
 
@@ -138,6 +140,53 @@ class TestGeometry:
         assert np.max(np.abs(kappa_fd - kappa) / kappa) <= 1e-5
         scale = np.maximum(np.abs(tau), 1.0)
         assert np.max(np.abs(tau_fd - tau) / scale) <= 1e-5
+
+
+class TestJet:
+    @staticmethod
+    def helix_arc(kind):
+        d = np.linspace(0.0, 1.0, 401)
+        u = 2 * np.pi * d
+        pts = np.stack([np.cos(u), np.sin(u), 1.5 * d], axis=1)
+        if kind == "sympy":
+            return reparametrize_by_arclength(helix_curve())
+        if kind == "table":
+            return reparametrize_by_arclength(curve_from_table(d, pts))
+        if kind == "finite-difference":
+            return reparametrize_by_arclength(curve_from_position(
+                lambda dv: np.stack([np.cos(2 * np.pi * dv), np.sin(2 * np.pi * dv),
+                                     1.5 * dv], axis=1)))
+        arc = reparametrize_by_arclength(helix_curve())
+        return reconstruct_curve(synthesize(curvature_torsion(arc, n_samples=501)))
+
+    @pytest.mark.parametrize("kind", ["sympy", "table", "finite-difference", "reconstructed"])
+    def test_components_equal_accessors(self, kind):
+        arc = self.helix_arc(kind)
+        grid = np.linspace(0.0, arc.total_length, 37)
+        jet = arc.jet(grid)
+        accessors = (arc.position, arc.tangent, arc.second_derivative, arc.third_derivative)
+        assert len(jet) == 4
+        for value, accessor in zip(jet, accessors):
+            assert value.shape == (grid.size, 3)
+            assert np.array_equal(value, accessor(grid))
+
+    def test_one_inversion_per_geometry_call(self):
+        # the third d-derivative of the source is evaluated once per jet
+        base = helix_curve()
+        calls = []
+
+        def third(dv):
+            calls.append(np.size(dv))
+            return base.derivatives[2](dv)
+
+        arc = reparametrize_by_arclength(
+            ParametricCurve(base.position, base.derivatives[:2] + (third,), name="counted"))
+        calls.clear()
+        curvature_torsion(arc, n_samples=101)
+        assert calls == [101]
+        calls.clear()
+        check_boundary_conditions(arc)
+        assert calls == [2]
 
 
 class TestBoundaryConditions:

@@ -47,7 +47,26 @@ class TestEigenstates:
         assert np.linalg.norm(gram - np.eye(3)) <= 1e-10
 
 
+    def test_vectorized_matches_single_angles(self, rng):
+        theta, beta = rng.uniform(0, np.pi, 50), rng.uniform(-np.pi, np.pi, 50)
+        stacked = invariant_eigenstates(theta, beta)
+        for i in range(theta.size):
+            for many, one in zip(stacked, invariant_eigenstates(theta[i], beta[i])):
+                assert np.array_equal(many[i], one)
+        phi1, _, phi3 = stacked
+        assert np.array_equal(phi3, phi1[:, ::-1].conj() * [1, -1, 1])
+
+
 class TestEvolutionOperator:
+    def test_columns_are_phased_eigenstates(self, rng):
+        theta, beta, alpha = rng.uniform(-4, 4, (3, 50))
+        phi1, phi2, phi3 = invariant_eigenstates(theta, beta)
+        u = evolution_operator(theta, beta, alpha)
+        ea = np.exp(1j * alpha)[:, None]
+        assert np.array_equal(u[..., 0], phi1 * ea)
+        assert np.array_equal(u[..., 1], phi2)
+        assert np.array_equal(u[..., 2], phi3 * ea.conj())
+
     def test_identity_at_origin(self):
         assert np.allclose(evolution_operator(0.0, 0.0, 0.0), np.eye(3), atol=1e-15)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from geodrive.curves import (curvature_torsion, curve_from_expressions,
                              reparametrize_by_arclength)
@@ -54,6 +55,30 @@ class TestControlScheduleContract:
         sched = zero_schedule()
         with pytest.raises(ValueError, match="outside"):
             sched.hamiltonian(2.0)
+
+    @pytest.mark.parametrize("t", [-0.1, 1.6, np.array([0.0, 1.6]), np.array([-1e-6, 1.0])])
+    def test_two_tone_out_of_range_evaluation(self, t):
+        two = as_two_tone(zero_schedule(duration=1.5))
+        with pytest.raises(ValueError, match="outside"):
+            two.values(t)
+        with pytest.raises(ValueError, match="outside"):
+            two.hamiltonian(t)
+
+    @pytest.mark.parametrize("name", ["scaled_schedule", "stirap"])
+    def test_hamiltonian_is_one_interpolant_call(self, request, monkeypatch, name):
+        schedule = request.getfixturevalue(name)
+        calls = []
+        evaluate = PchipInterpolator.__call__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(PchipInterpolator, "__call__", counted)
+        t = 0.37 * schedule.duration
+        h = schedule.hamiltonian(t)
+        assert len(calls) == 1
+        assert np.array_equal(h, schedule.hamiltonians(np.array([t]))[0])
 
     def test_two_tone_reduces_to_common_envelope(self, scaled_schedule):
         two = as_two_tone(scaled_schedule)
