@@ -103,7 +103,7 @@ def _first_population_maximum(schedule, smooth_window):
     """Time of the first local maximum of P_+1(t), ripple-smoothed."""
     n_probe = 3001
     grid = np.linspace(*schedule.time_span, n_probe)
-    states = propagate_state(schedule, KET_MINUS1, grid, rtol=1e-9, atol=1e-11)
+    states = propagate_state(schedule, KET_MINUS1, grid)
     p_plus = np.abs(states[:, 2]) ** 2
     win = max(3, int(round(smooth_window / (grid[1] - grid[0]))))
     kernel = np.ones(win) / win

@@ -26,8 +26,11 @@ from .schedules import (curve_deviation, end_distance, reconstruct_curve, synthe
 from .simulate import (NoiseModel, infidelity_scaling_exponent, run_lindblad,
                        run_schrodinger, sweep_delta)
 
-DEFAULT_RTOL = 1e-10
+DEFAULT_RTOL = 1e-10  # Lindblad solves; unitary ones use the fixed-grid stepper
 DEFAULT_ATOL = 1e-12
+UNITARY_SOLVER = "magnus4"
+#: failures confined to one scheme, recorded in its entry while the command goes on
+SCHEME_ERRORS = (IntegrationFailure, InconsistentAnglesError, ValueError)
 
 
 def _fmt(value) -> str:
@@ -118,7 +121,7 @@ def cmd_synthesize(scenario: Scenario, args) -> int:
                            "roundtrip_residual": residual,
                            "noise_term": suppression,
                            "boundary": report.as_dict(),
-                           "tolerances": {"rtol": DEFAULT_RTOL, "atol": DEFAULT_ATOL},
+                           "unitary_solver": UNITARY_SOLVER,
                            "tool_version": __version__,
                        })
     if args.plot_script:
@@ -135,13 +138,6 @@ def cmd_synthesize(scenario: Scenario, args) -> int:
     return 0
 
 
-def _run_one_scheme(scenario: Scenario, scheme: str):
-    schedule = build_schedule(scenario, scheme)
-    ideal = run_schrodinger(schedule, NoiseModel(), label=scheme)
-    noisy = run_lindblad(schedule, scenario.noise, label=scheme)
-    return schedule, ideal, noisy
-
-
 def cmd_run(scenario: Scenario, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -151,14 +147,17 @@ def cmd_run(scenario: Scenario, args) -> int:
         "convention": scenario.convention,
         "noise": {"delta": scenario.noise.delta, "gamma": scenario.noise.gamma},
         "tolerances": {"rtol": DEFAULT_RTOL, "atol": DEFAULT_ATOL},
+        "unitary_solver": UNITARY_SOLVER,
         "tool_version": __version__,
         "schemes": {},
     }
     failed = False
     for scheme in schemes:
         try:
-            schedule, ideal, noisy = _run_one_scheme(scenario, scheme)
-        except (IntegrationFailure, InconsistentAnglesError, ValueError) as exc:
+            schedule = build_schedule(scenario, scheme)
+            ideal = run_schrodinger(schedule, NoiseModel(), label=scheme)
+            noisy = run_lindblad(schedule, scenario.noise, label=scheme)
+        except SCHEME_ERRORS as exc:
             manifest["schemes"][scheme] = {"error": str(exc)}
             failed = True
             continue
@@ -195,32 +194,39 @@ def cmd_sweep(scenario: Scenario, args) -> int:
     spec = scenario.sweep
     grid = spec.grid()
     schemes = scenario.schemes()
-    results = {}
-    exponents = {}
+    results, exponents, entries = {}, {}, {}
     for scheme in schemes:
-        schedule = build_schedule(scenario, scheme)
-        rows = sweep_delta(schedule, grid, gamma=scenario.noise.gamma)
+        try:
+            schedule = build_schedule(scenario, scheme)
+            rows = sweep_delta(schedule, grid, gamma=scenario.noise.gamma)
+        except SCHEME_ERRORS as exc:
+            entries[scheme] = {"error": str(exc)}
+            continue
+        entries[scheme] = {"warnings": list(schedule.warnings)}
         results[scheme] = rows
         _write_sweep_csv(out / f"{scheme}_sweep.csv", rows)
         try:
             exponents[scheme] = infidelity_scaling_exponent(
                 schedule, spec.scaling_lo, spec.scaling_hi, spec.scaling_n)
-        except (IntegrationFailure, ValueError) as exc:
+        except SCHEME_ERRORS as exc:
             exponents[scheme] = f"unavailable: {exc}"
+    swept = list(results)
     with open(out / "ordering.csv", "w", newline="") as fh:
-        fh.write("delta," + ",".join(f"p_{s}" for s in schemes) + ",dominant\n")
+        fh.write("delta," + "".join(f"p_{s}," for s in swept) + "dominant\n")
         for i, delta in enumerate(grid):
-            fids = [results[s][i, 1] for s in schemes]
-            dominant = schemes[int(np.argmax(fids))]
-            fh.write(_fmt(delta) + "," + ",".join(_fmt(f) for f in fids)
-                     + f",{dominant}\n")
+            fids = [results[s][i, 1] for s in swept]
+            dominant = swept[int(np.argmax(fids))] if swept else ""
+            fh.write(_fmt(delta) + "," + "".join(f"{_fmt(f)}," for f in fids)
+                     + f"{dominant}\n")
     report = {
         "scenario": scenario.name,
         "convention": scenario.convention,
         "gamma": scenario.noise.gamma,
         "delta_grid": {"start": spec.start, "stop": spec.stop, "count": spec.count},
         "infidelity_exponents": exponents,
+        "schemes": entries,
         "tolerances": {"rtol": DEFAULT_RTOL, "atol": DEFAULT_ATOL},
+        "unitary_solver": UNITARY_SOLVER,
         "tool_version": __version__,
     }
     _write_json(out / "sweep_report.json", report)
@@ -229,10 +235,10 @@ def cmd_sweep(scenario: Scenario, args) -> int:
                  "set xlabel 'delta (rad/us)'", "set ylabel 'final P+1'",
                  "plot " + ", \\\n     ".join(
                      f"'{out / f'{s}_sweep.csv'}' using 1:2 with lines title '{s}'"
-                     for s in schemes)]
+                     for s in swept)]
         _write_plot_script(out / "sweep.gp", lines)
     print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
+    return 0 if len(swept) == len(schemes) else 1
 
 
 def _positive_float(text):

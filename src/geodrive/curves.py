@@ -244,21 +244,16 @@ class ArcLengthCurve:
         return self.jet(t)[3]
 
 
-def _gauss_panels(n_quad):
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-    edges = np.linspace(0.0, 1.0, n_quad + 1)
-    return nodes, weights, edges
-
-
 def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
     """Transform r(d) into the unit-speed form r(t), t in [0, L].
 
     Total length uses composite Gauss-Legendre quadrature over ``n_quad``
     panels; the inverse map d(t) is solved by bracketed Newton iteration on
-    the cumulative-length table to |s(d) - t| <= 1e-12.
+    the cumulative-length table to |s(d) - t| <= 1e-12.  An
+    :class:`ArcLengthCurve` is already unit speed and is returned unchanged.
     """
     if isinstance(curve, ArcLengthCurve):
-        curve = as_parametric(curve)
+        return curve
     if n_quad < 64:
         raise ValueError("n_quad must be at least 64")
     if curve.derivative_order < 3:
@@ -266,7 +261,8 @@ def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
     curve.validate()
 
     speed_of = lambda dv: np.linalg.norm(curve.derivative(1)(dv), axis=1)
-    nodes, weights, edges = _gauss_panels(n_quad)
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    edges = np.linspace(0.0, 1.0, n_quad + 1)
     lows, highs = edges[:-1], edges[1:]
     half = 0.5 * (highs - lows)
     mids = 0.5 * (highs + lows)
@@ -331,22 +327,6 @@ def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
         parameter_map=invert,
         source=curve,
         name=curve.name,
-    )
-
-
-def as_parametric(arc: ArcLengthCurve) -> ParametricCurve:
-    """View an arc-length curve as a ParametricCurve on d in [0, 1]."""
-    L = arc.total_length
-
-    def scaled(f, power):
-        return lambda dv: f(np.asarray(dv, dtype=float) * L) * L**power
-
-    return ParametricCurve(
-        position=scaled(arc.position, 0),
-        derivatives=(scaled(arc.tangent, 1),
-                     scaled(arc.second_derivative, 2),
-                     scaled(arc.third_derivative, 3)),
-        name=arc.name,
     )
 
 

@@ -150,8 +150,7 @@ def _fit_euler_angles(props):
     return theta, big_b, big_c
 
 
-def angles_from_schedule(schedule, n_samples: int = 10_001, rtol: float = 1e-11,
-                         atol: float = 1e-13, keep_propagators: bool = True,
+def angles_from_schedule(schedule, n_samples: int = 10_001, keep_propagators: bool = True,
                          residual_tol: float = 1e-6) -> InvariantAngles:
     """Extract continuous invariant angles from an integrated propagator.
 
@@ -163,7 +162,7 @@ def angles_from_schedule(schedule, n_samples: int = 10_001, rtol: float = 1e-11,
     """
     t0, t1 = schedule.time_span
     times = np.linspace(t0, t1, n_samples)
-    props = propagate_operator(schedule, times, rtol=rtol, atol=atol)
+    props = propagate_operator(schedule, times)
     theta, big_b, big_c = _fit_euler_angles(props)
 
     # initial-frame azimuth: quadratic extrapolation over the first samples
@@ -190,11 +189,6 @@ def angles_from_schedule(schedule, n_samples: int = 10_001, rtol: float = 1e-11,
                            propagators=props if keep_propagators else None)
 
 
-def _eigenstate_stack(angles: InvariantAngles):
-    """All three eigenstate trajectories, shape (3, n, 3)."""
-    return np.stack(invariant_eigenstates(angles.theta, angles.beta))
-
-
 def lr_phase_series(schedule, angles: InvariantAngles, mode_index: int = 1):
     """Mode phase alpha_n(t) on the angle grid, by Simpson quadrature.
 
@@ -204,7 +198,7 @@ def lr_phase_series(schedule, angles: InvariantAngles, mode_index: int = 1):
     """
     if mode_index not in (1, 2, 3):
         raise ValueError("mode_index must be 1, 2 or 3")
-    states = _eigenstate_stack(angles)[mode_index - 1]
+    states = invariant_eigenstates(angles.theta, angles.beta)[mode_index - 1]
     dt = angles.time[1] - angles.time[0]
     dstates = np.gradient(states, dt, axis=0, edge_order=2)
     inner_dt = np.einsum("nj,nj->n", states.conj(), dstates)
@@ -220,24 +214,22 @@ def lr_phase(schedule, angles: InvariantAngles, t: float, mode_index: int = 1) -
     return float(np.interp(t, angles.time, series))
 
 
-def noise_suppression_term(schedule, n_samples: int = 2001, rtol: float = 1e-12,
-                           atol: float = 1e-14) -> float:
+def noise_suppression_term(schedule, n_samples: int = 2001) -> float:
     """The delta^2 coefficient of the perturbative infidelity.
 
     Sums |int <psi_1| K_z |psi_n> dt|^2 over the two other dynamical modes,
     with the modes obtained by propagating the basis states under the ideal
     schedule.
     """
-    times, mdot = toggling_frame(schedule, n_samples, rtol=rtol, atol=atol)
+    times, mdot = toggling_frame(schedule, n_samples)
     cross_12 = simpson(mdot[:, 0, 1], x=times)
     cross_13 = simpson(mdot[:, 0, 2], x=times)
     return float(abs(cross_12) ** 2 + abs(cross_13) ** 2)
 
 
-def perturbative_fidelity(schedule, delta: float, n_samples: int = 2001,
-                          rtol: float = 1e-12, atol: float = 1e-14) -> float:
+def perturbative_fidelity(schedule, delta: float, n_samples: int = 2001) -> float:
     """Second-order fidelity estimate 1 - delta^2 * (noise term)."""
-    noise = noise_suppression_term(schedule, n_samples, rtol, atol)
+    noise = noise_suppression_term(schedule, n_samples)
     return float(np.clip(1.0 - delta**2 * noise, 0.0, 1.0))
 
 

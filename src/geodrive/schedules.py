@@ -224,8 +224,7 @@ def synthesize(geometry: "_curves.CurveGeometry", mode: str = PHASE_MODE) -> Con
 # inverse map: schedule -> curve (verification oracle)
 # ---------------------------------------------------------------------------
 
-def reconstruct_curve(schedule, tol: float = 1e-10,
-                      n_samples: int = None) -> "_curves.ArcLengthCurve":
+def reconstruct_curve(schedule, n_samples: int = None) -> "_curves.ArcLengthCurve":
     """Recover r(t) from a schedule via the spin-1 expansion of m(t).
 
     The components are x = Tr(K_x m)/2 etc., accumulated by Simpson
@@ -233,11 +232,9 @@ def reconstruct_curve(schedule, tol: float = 1e-10,
     unit-speed and starts at the origin with tangent +z; its azimuthal
     orientation is set by the schedule's initial phase.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if n_samples is None:
         n_samples = max(schedule.time.size, MIN_GRID)
-    grid, mdot = toggling_frame(schedule, n_samples, rtol=tol, atol=max(tol * 1e-2, 1e-14))
+    grid, mdot = toggling_frame(schedule, n_samples)
     tangents = np.stack([
         0.5 * np.einsum("ij,nji->n", k, mdot).real for k in (K_X, K_Y, K_Z)
     ], axis=1)

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (K_Z, KET_MINUS1, _integrate, density_matrix_defects,
-                        norm_defect, propagate_state)
+from .operators import (K_Z, KET_MINUS1, _integrate, _step_grid,
+                        density_matrix_defects, norm_defect, propagate_state)
 
 
 @dataclass
@@ -67,30 +67,23 @@ _CHANNELS = relaxation_channels()
 _CHANNEL_PROJECTORS = [op.conj().T @ op for op in _CHANNELS]
 
 
-def _grid(schedule, n_samples):
-    t0, t1 = schedule.time_span
-    return np.linspace(t0, t1, n_samples)
-
-
 def run_schrodinger(schedule, noise: NoiseModel = None, initial=None,
-                    n_samples: int = 1001, rtol: float = 1e-10,
-                    atol: float = 1e-12, label: str = None) -> SimulationResult:
+                    n_samples: int = 1001, label: str = None) -> SimulationResult:
     """Pure-state propagation under H(t) + delta K_z (requires gamma = 0)."""
     noise = noise or NoiseModel()
     if noise.gamma != 0:
         raise ValueError("run_schrodinger handles gamma = 0 only; use run_lindblad")
     psi0 = np.asarray(KET_MINUS1 if initial is None else initial, dtype=complex)
-    times = _grid(schedule, n_samples)
-    states = propagate_state(schedule, psi0, times, rtol, atol, delta=noise.delta)
+    times = np.linspace(*schedule.time_span, n_samples)
+    states = propagate_state(schedule, psi0, times, delta=noise.delta)
     populations = np.abs(states) ** 2
     return SimulationResult(
         time_grid=times,
         populations=populations,
         final_fidelity=float(populations[-1, 2]),
         trace_defect=norm_defect(states[-1]),
-        metadata={"solver": "schrodinger", "scheme": label,
-                  "noise": {"delta": noise.delta, "gamma": 0.0},
-                  "rtol": rtol, "atol": atol},
+        metadata={"solver": "magnus4", "steps": _step_grid(schedule, times).size - 1,
+                  "scheme": label, "noise": {"delta": noise.delta, "gamma": 0.0}},
     )
 
 
@@ -112,7 +105,7 @@ def run_lindblad(schedule, noise: NoiseModel = None, initial=None,
     if herm0 > 1e-10 or trace0 > 1e-8 or eig0 < -1e-8:
         raise ValueError("initial density matrix must be Hermitian, unit trace, "
                          f"and positive (defects: {herm0:.1e}, {trace0:.1e}, {eig0:.1e})")
-    times = _grid(schedule, n_samples)
+    times = np.linspace(*schedule.time_span, n_samples)
     shift = noise.delta * K_Z
     gamma = noise.gamma
 
@@ -158,32 +151,35 @@ def sweep_delta(schedule, deltas, gamma: float = 0.0, n_samples: int = 401,
     return np.column_stack([deltas, fidelities])
 
 
-def _final_state(schedule, delta, rtol, atol):
-    """|psi(T; delta)> from |-1> under H(t) + delta K_z."""
-    return propagate_state(schedule, KET_MINUS1, schedule.time_span, rtol, atol,
-                           delta=delta)[-1]
+def _infidelities(schedule, deltas):
+    """||psi_d - <psi_0|psi_d> psi_0||^2 per delta, psi_d = |psi(T; d)> from |-1>.
+
+    One stepper call.  Equal to 1 - |<psi_0|psi_d>|^2 for unit states, but a
+    sum of squares does not cancel to rounding noise at small delta.
+    """
+    finals = propagate_state(schedule, KET_MINUS1, schedule.time_span,
+                             delta=np.concatenate([[0.0], deltas]))[:, -1]
+    ref, perturbed = finals[0], finals[1:]
+    residual = perturbed - np.outer(perturbed @ ref.conj(), ref)
+    return np.sum(np.abs(residual) ** 2, axis=1)
 
 
-def overlap_fidelity(schedule, delta: float, rtol: float = 1e-12,
-                     atol: float = 1e-14) -> float:
+def overlap_fidelity(schedule, delta: float) -> float:
     """|<psi(T; 0)|psi(T; delta)>|^2: fidelity against the unperturbed run.
 
     For schemes with exact ideal transfer this equals the final P_+1; for
     approximate ones (SRT) it isolates the noise-induced infidelity from the
     scheme's own ideal error floor.
     """
-    psi_ref = _final_state(schedule, 0.0, rtol, atol)
-    return float(abs(np.vdot(psi_ref, _final_state(schedule, delta, rtol, atol))) ** 2)
+    return float(1.0 - _infidelities(schedule, [delta])[0])
 
 
 def infidelity_scaling_exponent(schedule, delta_lo: float, delta_hi: float,
-                                n: int = 7, rtol: float = 1e-12,
-                                atol: float = 1e-14,
-                                floor: float = 1e-12) -> float:
+                                n: int = 7, floor: float = 1e-12) -> float:
     """Least-squares slope of log(1 - F) against log(delta), gamma = 0.
 
-    F is the overlap fidelity against the unperturbed evolution, which is
-    propagated once and shared by all deltas.
+    1 - F is the cancellation-free infidelity against the unperturbed
+    evolution; all deltas and the reference share one stepper call.
     Infidelities at or below ``floor`` are dropped as numerical noise;
     fewer than 3 surviving points is an error.
     """
@@ -192,10 +188,7 @@ def infidelity_scaling_exponent(schedule, delta_lo: float, delta_hi: float,
     if n < 5:
         raise ValueError("need at least 5 sample points")
     deltas = np.geomspace(delta_lo, delta_hi, n)
-    psi_ref = _final_state(schedule, 0.0, rtol, atol)
-    infidelities = np.array([
-        1.0 - abs(np.vdot(psi_ref, _final_state(schedule, d, rtol, atol))) ** 2
-        for d in deltas])
+    infidelities = _infidelities(schedule, deltas)
     keep = infidelities > floor
     if np.count_nonzero(keep) < 3:
         raise ValueError("fewer than 3 infidelity points above the numerical floor")

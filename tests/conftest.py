@@ -64,13 +64,13 @@ def rng():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The (t0, t1) of every ODE solve made through operators._integrate."""
-    spans = []
-    integrate = operators._integrate
+    """The deltas of every unitary propagation made through operators._propagate."""
+    calls = []
+    propagate = operators._propagate
 
-    def counted(rhs, y0, t0, t1, *args, **kwargs):
-        spans.append((t0, t1))
-        return integrate(rhs, y0, t0, t1, *args, **kwargs)
+    def counted(schedule, y0, times, deltas):
+        calls.append(list(deltas))
+        return propagate(schedule, y0, times, deltas)
 
-    monkeypatch.setattr(operators, "_integrate", counted)
-    return spans
+    monkeypatch.setattr(operators, "_propagate", counted)
+    return calls

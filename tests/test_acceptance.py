@@ -76,7 +76,7 @@ def test_criterion_02_boundary_conditions():
 def test_criterion_03_ideal_transfer():
     crit = _Criterion(3, "ideal transfer of the synthesized schedule", 5.0)
     _, _, schedule = _pipeline(mode="phase")
-    result = run_schrodinger(schedule, rtol=1e-10)
+    result = run_schrodinger(schedule)
     crit.check("P_+1 >= 1 - 1e-6", result.final_fidelity >= 1 - 1e-6)
     crit.finish()
 
@@ -142,8 +142,7 @@ def test_criterion_08_invariant_identities():
     _, _, schedule = _pipeline(mode="phase", duration=2.0)
     # dense extraction: the C1 schedule interpolant limits the finite
     # difference to h^2 convergence, so the defect check needs a fine grid
-    angles_geo = angles_from_schedule(schedule, n_samples=80_001,
-                                      rtol=1e-13, atol=1e-15)
+    angles_geo = angles_from_schedule(schedule, n_samples=80_001)
     sta = sta_schedule()
     angles_sta = angles_from_schedule(sta)
     for tag, sched, angles in (("geometric", schedule, angles_geo),

@@ -75,8 +75,7 @@ class TestSta:
         assert run_schrodinger(sta).final_fidelity >= 1 - 1e-6
 
     def test_matches_analytic_rotation(self, sta):
-        final = propagate_state(sta, KET_MINUS1, np.array([0.0, 2.0]),
-                                rtol=1e-12, atol=1e-14)[-1]
+        final = propagate_state(sta, KET_MINUS1, np.array([0.0, 2.0]))[-1]
         exact = expm(-1j * np.pi * K_X) @ KET_MINUS1
         assert np.allclose(final, exact, atol=1e-9)
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from geodrive import cli
 from geodrive.cli import main
+from geodrive.operators import IntegrationFailure
 from geodrive.scenarios import ScenarioError, load_scenario
 
 REFERENCE = {
@@ -235,3 +237,35 @@ class TestSweepCommand:
         ordering = (out / "ordering.csv").read_text().splitlines()
         assert ordering[0] == "delta,p_sta,dominant"
         assert (out / "sweep.gp").exists()
+        assert report["schemes"] == {"sta": {"warnings": []}}
+        assert report["unitary_solver"] == "magnus4"
+
+    def test_scheme_failure_is_recorded_and_sweep_goes_on(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def failing(schedule, grid, gamma=0.0):
+            if schedule.duration > 10.0:  # only the STIRAP window (14 us) is this long
+                raise IntegrationFailure("step size underflow", 1.5)
+            return real_sweep(schedule, grid, gamma=gamma)
+
+        real_sweep = cli.sweep_delta
+        monkeypatch.setattr(cli, "sweep_delta", failing)
+        payload = {**REFERENCE, "scheme": "all",
+                   "sweep": {"start": -0.2, "stop": 0.2, "count": 3,
+                             "scaling": {"lo": 0.02, "hi": 0.1, "n": 5}}}
+        path = write_scenario(tmp_path, payload)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 1
+        capsys.readouterr()
+        report = json.loads((out / "sweep_report.json").read_text())
+        assert "step size underflow" in report["schemes"]["stirap"]["error"]
+        assert "stirap" not in report["infidelity_exponents"]
+        assert not (out / "stirap_sweep.csv").exists()
+        for scheme in ("geometric", "srt", "sta"):
+            assert (out / f"{scheme}_sweep.csv").exists()
+        # the default SRT block is marginal; its schedule warning reaches the report
+        [warning] = report["schemes"]["srt"]["warnings"]
+        assert "adiabatic elimination" in warning
+        assert report["schemes"]["sta"] == {"warnings": []}
+        assert (out / "ordering.csv").read_text().splitlines()[0] == \
+            "delta,p_geometric,p_srt,p_sta,dominant"
+

@@ -65,6 +65,8 @@ class TestReparametrization:
     def test_idempotent(self, reference_arc):
         again = reparametrize_by_arclength(reference_arc)
         assert abs(again.total_length - reference_arc.total_length) <= 1e-10
+        grid = np.linspace(0, reference_arc.total_length, 201)
+        assert np.array_equal(again.position(grid), reference_arc.position(grid))
 
     def test_degenerate_curve_rejected(self):
         point = curve_from_expressions("0", "0", "0", name="point")

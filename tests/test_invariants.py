@@ -117,8 +117,7 @@ class TestAngleExtraction:
 
 class TestInvariantEquation:
     def test_geometric_defect(self, scaled_schedule):
-        angles = angles_from_schedule(scaled_schedule, n_samples=80_001,
-                                      rtol=1e-13, atol=1e-15)
+        angles = angles_from_schedule(scaled_schedule, n_samples=80_001)
         assert np.max(invariant_defect(scaled_schedule, angles)) <= 1e-6
 
     def test_sta_defect(self, sta, sta_angles):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from geodrive import operators
 from geodrive.operators import (K_X, K_Y, K_Z, KET_MINUS1, KET_0, KET_PLUS1,
                                 IntegrationFailure, commutator, hamiltonian,
                                 norm_defect, propagate_operator,
@@ -93,14 +94,15 @@ class TestScaledFrobeniusNorm:
 
 
 class _ConstantDrive:
-    """Minimal schedule stand-in: constant H over [0, duration]."""
+    """Minimal schedule stand-in: constant H over [0, duration], knots every 0.25."""
 
     def __init__(self, h, duration):
         self._h = h
+        self.time = np.linspace(0.0, duration, int(np.ceil(duration / 0.25)) + 1)
         self.time_span = (0.0, duration)
 
-    def hamiltonian(self, t):
-        return self._h
+    def hamiltonians(self, times):
+        return np.broadcast_to(self._h, np.shape(times) + (3, 3))
 
 
 def final_state(drive, psi, t0, t1):
@@ -155,13 +157,66 @@ class TestPropagation:
         assert np.allclose(out, exact, atol=1e-9)
 
     def test_integration_failure_carries_time(self):
-        class Singular:
-            time_span = (0.0, 1.0)
+        class Blowup(_ConstantDrive):
+            """H turns infinite at t = 0.6."""
 
-            @staticmethod
-            def hamiltonian(t):
-                return K_X / (0.5 - t)
+            def hamiltonians(self, times):
+                h = np.array(super().hamiltonians(times))
+                h[np.asarray(times) >= 0.6] = np.inf
+                return h
 
-        with pytest.raises(IntegrationFailure) as err:
-            final_state(Singular, KET_MINUS1, 0.0, 1.0)
-        assert 0.0 <= err.value.time <= 1.0
+        with pytest.raises(IntegrationFailure, match="non-finite") as err:
+            final_state(Blowup(K_X, 1.0), KET_MINUS1, 0.0, 1.0)
+        # the first Gauss node at or past t = 0.6, inside the step [0.5, 0.75]
+        assert 0.6 <= err.value.time <= 0.75
+
+
+def _dop853_final_states(schedule, deltas):
+    """Oracle: one adaptive DOP853 solve at rtol 1e-13 of the kets from |-1>
+    under H(t) + delta K_z for all deltas, stacked; rows follow ``deltas``."""
+    shifts = np.multiply.outer(deltas, np.diag(K_Z))
+
+    def rhs(t, y):
+        kets = y.reshape(len(deltas), 3)
+        return (-1j * (kets @ schedule.hamiltonian(t).T + shifts * kets)).ravel()
+
+    t0, t1 = schedule.time_span
+    y0 = np.tile(KET_MINUS1, len(deltas))
+    sol = operators._integrate(rhs, y0, t0, t1, 1e-13, 1e-15)
+    return sol.y[:, -1].reshape(len(deltas), 3)
+
+
+SCHEMES = ["scaled_schedule", "srt", "stirap", "sta"]
+ORACLE_DELTAS = [0.0, 0.01, 0.3]
+
+
+class TestMagnusStepper:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_dop853_oracle(self, scheme, request):
+        schedule = request.getfixturevalue(scheme)
+        finals = propagate_state(schedule, KET_MINUS1, schedule.time_span,
+                                 delta=np.array(ORACLE_DELTAS))[:, -1]
+        oracle = _dop853_final_states(schedule, ORACLE_DELTAS)
+        assert np.max(np.linalg.norm(finals - oracle, axis=1)) <= 1e-8
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_batch_member_equals_single_delta(self, scheme, request):
+        schedule = request.getfixturevalue(scheme)
+        deltas = np.array([-0.2, 0.0, 0.05, 0.3])
+        grid = np.linspace(*schedule.time_span, 37)
+        batch = propagate_state(schedule, KET_MINUS1, grid, delta=deltas)
+        assert batch.shape == (deltas.size, grid.size, 3)
+        for delta, member in zip(deltas, batch):
+            single = propagate_state(schedule, KET_MINUS1, grid, delta=delta)
+            assert np.max(np.abs(member - single)) <= 1e-12
+
+    def test_steps_on_knots_and_samples(self, sta):
+        samples = np.array([0.1, 0.55, 1.3])
+        grid = operators._step_grid(sta, samples)
+        knots = sta.time[(sta.time > 0.1) & (sta.time < 1.3)]
+        assert np.array_equal(grid, np.union1d(samples, knots))
+
+    def test_knot_next_to_sample_adds_no_sliver_step(self, sta):
+        knot = sta.time[100]
+        grid = operators._step_grid(sta, [0.0, knot + 1e-14, sta.time[-1]])
+        assert np.min(np.diff(grid)) >= 0.5 * (sta.time[1] - sta.time[0])

@@ -51,9 +51,8 @@ class TestLindblad:
 
     def test_matches_schrodinger_without_relaxation(self, scaled_schedule):
         noise = NoiseModel(delta=0.4)
-        tight = dict(n_samples=201, rtol=1e-11, atol=1e-13)
-        pure = run_schrodinger(scaled_schedule, noise, **tight)
-        mixed = run_lindblad(scaled_schedule, noise, **tight)
+        pure = run_schrodinger(scaled_schedule, noise, n_samples=201)
+        mixed = run_lindblad(scaled_schedule, noise, n_samples=201, rtol=1e-11, atol=1e-13)
         assert np.max(np.abs(pure.populations - mixed.populations)) <= 1e-8
 
     def test_trace_preserved_under_relaxation(self):
@@ -133,7 +132,10 @@ class TestSweep:
 class TestScalingExponents:
     def test_geometric_quartic_suppression(self, scaled_schedule):
         exponent = infidelity_scaling_exponent(scaled_schedule, 0.01, 0.1)
-        assert exponent >= 3.8
+        assert exponent == pytest.approx(4.0, abs=0.01)
+        # the estimator has no cancellation floor down to delta = 1e-3
+        wide = infidelity_scaling_exponent(scaled_schedule, 1e-3, 0.1, n=9)
+        assert wide == pytest.approx(4.0, abs=0.01)
 
     def test_sta_quadratic(self, sta):
         assert infidelity_scaling_exponent(sta, 0.01, 0.1) == pytest.approx(2.0, abs=0.2)
@@ -152,11 +154,11 @@ class TestScalingExponents:
 
     def test_reference_state_propagated_once(self, sta, solves):
         infidelity_scaling_exponent(sta, 0.01, 0.1, n=5)
-        assert len(solves) == 5 + 1
+        assert len(solves) == 1
+        assert solves[0][0] == 0.0 and len(solves[0]) == 5 + 1
 
     def test_overlap_equals_population_for_exact_transfer(self, scaled_schedule):
-        pop = run_schrodinger(scaled_schedule, NoiseModel(delta=0.05),
-                              rtol=1e-12, atol=1e-14).final_fidelity
+        pop = run_schrodinger(scaled_schedule, NoiseModel(delta=0.05)).final_fidelity
         ovl = overlap_fidelity(scaled_schedule, 0.05)
         assert ovl == pytest.approx(pop, abs=1e-8)
 
