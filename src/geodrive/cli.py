@@ -23,12 +23,9 @@ from .scenarios import (Scenario, ScenarioError, build_schedule,
                         geometric_pipeline, load_scenario)
 from .schedules import (curve_deviation, end_distance, reconstruct_curve, synthesize,
                         write_schedule_csv)
-from .simulate import (NoiseModel, infidelity_scaling_exponent, run_lindblad,
+from .simulate import (SOLVER, NoiseModel, infidelity_scaling_exponent, run_lindblad,
                        run_schrodinger, sweep_delta)
 
-DEFAULT_RTOL = 1e-10  # Lindblad solves; unitary ones use the fixed-grid stepper
-DEFAULT_ATOL = 1e-12
-UNITARY_SOLVER = "magnus4"
 #: failures confined to one scheme, recorded in its entry while the command goes on
 SCHEME_ERRORS = (IntegrationFailure, InconsistentAnglesError, ValueError)
 
@@ -51,7 +48,7 @@ def _write_populations_csv(path, result):
 def _write_sweep_csv(path, rows):
     with open(path, "w", newline="") as fh:
         fh.write("delta,p_plus1_final\n")
-        for delta, fid in rows:
+        for delta, fid in rows[:, :2]:
             fh.write(f"{_fmt(delta)},{_fmt(fid)}\n")
 
 
@@ -121,7 +118,7 @@ def cmd_synthesize(scenario: Scenario, args) -> int:
                            "roundtrip_residual": residual,
                            "noise_term": suppression,
                            "boundary": report.as_dict(),
-                           "unitary_solver": UNITARY_SOLVER,
+                           "solver": SOLVER,
                            "tool_version": __version__,
                        })
     if args.plot_script:
@@ -146,8 +143,7 @@ def cmd_run(scenario: Scenario, args) -> int:
         "scenario": scenario.name,
         "convention": scenario.convention,
         "noise": {"delta": scenario.noise.delta, "gamma": scenario.noise.gamma},
-        "tolerances": {"rtol": DEFAULT_RTOL, "atol": DEFAULT_ATOL},
-        "unitary_solver": UNITARY_SOLVER,
+        "solver": SOLVER,
         "tool_version": __version__,
         "schemes": {},
     }
@@ -202,7 +198,10 @@ def cmd_sweep(scenario: Scenario, args) -> int:
         except SCHEME_ERRORS as exc:
             entries[scheme] = {"error": str(exc)}
             continue
-        entries[scheme] = {"warnings": list(schedule.warnings)}
+        entries[scheme] = {"warnings": list(schedule.warnings),
+                           "max_hermiticity_defect": float(rows[:, 2].max()),
+                           "max_trace_defect": float(rows[:, 3].max()),
+                           "min_eigenvalue": float(rows[:, 4].min())}
         results[scheme] = rows
         _write_sweep_csv(out / f"{scheme}_sweep.csv", rows)
         try:
@@ -225,8 +224,7 @@ def cmd_sweep(scenario: Scenario, args) -> int:
         "delta_grid": {"start": spec.start, "stop": spec.stop, "count": spec.count},
         "infidelity_exponents": exponents,
         "schemes": entries,
-        "tolerances": {"rtol": DEFAULT_RTOL, "atol": DEFAULT_ATOL},
-        "unitary_solver": UNITARY_SOLVER,
+        "solver": SOLVER,
         "tool_version": __version__,
     }
     _write_json(out / "sweep_report.json", report)

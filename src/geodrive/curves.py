@@ -296,14 +296,15 @@ def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
         hi_b = np.ones_like(guess)
         for _ in range(100):
             residual = partial_length(guess) - t_clip
+            open_ = np.abs(residual) > 1e-12  # converged points stay where they are
+            if not open_.any():
+                break
             hi_b = np.where(residual > 0, np.minimum(hi_b, guess), hi_b)
             lo_b = np.where(residual <= 0, np.maximum(lo_b, guess), lo_b)
-            if np.max(np.abs(residual)) <= 1e-12:
-                break
             step = residual / np.maximum(speed_of(guess), 1e-300)
             proposal = guess - step
             outside = (proposal <= lo_b) | (proposal >= hi_b)
-            guess = np.where(outside, 0.5 * (lo_b + hi_b), proposal)
+            guess = np.where(open_, np.where(outside, 0.5 * (lo_b + hi_b), proposal), guess)
         return guess
 
     d1f, d2f, d3f = (curve.derivative(k) for k in (1, 2, 3))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 SQRT2 = np.sqrt(2.0)
 
@@ -32,7 +33,7 @@ for _k in (KET_MINUS1, KET_0, KET_PLUS1):
 #: Gauss-Legendre nodes of a step [t, t + h] sit at mid -+ _GAUSS_OFFSET h
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _MAGNUS_C = np.sqrt(3.0) / 12.0
-_CHUNK = 1024  # (step, delta) pairs exponentiated at once; bounds the temporaries
+_CHUNK = 1024  # 3x3 (step, delta) pairs per exponentiation block; bounds the temporaries
 
 
 class IntegrationFailure(RuntimeError):
@@ -63,10 +64,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def scaled_frobenius_norm(m: np.ndarray) -> float:
     """sqrt(sum |m_ij|^2) / sqrt(2); unitarily invariant.
 
@@ -81,20 +78,17 @@ def norm_defect(psi: np.ndarray) -> float:
     return abs(float(np.linalg.norm(psi)) - 1.0)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m - dagger(m)))
-
-
 def unitarity_defect(u: np.ndarray) -> float:
-    return float(np.linalg.norm(dagger(u) @ u - IDENTITY3))
+    return float(np.linalg.norm(u.conj().T @ u - IDENTITY3))
 
 
 def density_matrix_defects(rho: np.ndarray):
-    """(hermiticity, trace, min-eigenvalue) diagnostics for a density matrix."""
-    herm = hermiticity_defect(rho)
-    tr = abs(float(np.trace(rho).real) - 1.0)
-    sym = 0.5 * (rho + dagger(rho))
-    min_eig = float(np.linalg.eigvalsh(sym).min())
+    """(hermiticity, trace, min-eigenvalue) diagnostics of a density matrix,
+    or arrays of them over the leading axes of a stack (..., 3, 3)."""
+    adjoint = rho.conj().swapaxes(-1, -2)
+    herm = np.linalg.norm(rho - adjoint, axis=(-2, -1))
+    tr = np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)
+    min_eig = np.linalg.eigvalsh(0.5 * (rho + adjoint)).min(axis=-1)
     return herm, tr, min_eig
 
 
@@ -103,8 +97,8 @@ def _step_grid(schedule, times):
     knots between them, less knots within 1e-12 of the span of a sample."""
     times = np.asarray(times, dtype=float)
     t0, t1 = times[0], times[-1]
-    if t1 <= t0 or np.any(np.diff(times) < 0):
-        raise ValueError(f"need increasing times with t0 < t1, got [{t0}, {t1}]")
+    if t1 <= t0 or np.any(np.diff(times) <= 0):
+        raise ValueError(f"need strictly increasing times, got [{t0}, ..., {t1}]")
     span = schedule.time_span
     if t0 < span[0] - 1e-12 or t1 > span[1] + 1e-12:
         raise ValueError(f"[{t0}, {t1}] outside schedule support {span}")
@@ -116,7 +110,7 @@ def _step_grid(schedule, times):
 
 
 def _integrate(rhs, y0, t0, t1, rtol, atol, t_eval=None):
-    """Adaptive DOP853 solve: the Lindblad solver and the unitary stepper's oracle."""
+    """Adaptive DOP853 solve: the Magnus stepper's oracle in the tests."""
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
                     t_eval=t_eval)
     if not sol.success:
@@ -124,14 +118,25 @@ def _integrate(rhs, y0, t0, t1, rtol, atol, t_eval=None):
     return sol
 
 
-def _propagate(schedule, y0, times, deltas):
-    """Samples of Y solving i dY/dt = (H(t) + delta K_z) Y from Y(times[0]) = y0.
+def _liouvillian(h, dissipator):
+    """K(H) with -iK = -i(H (x) I - I (x) H^T) + D, acting on row-major vec(rho)."""
+    lifted = (h[..., :, None, :, None] * IDENTITY3[None, :, None, :]
+              - IDENTITY3[:, None, :, None] * h.swapaxes(-1, -2)[..., None, :, None, :])
+    return lifted.reshape(h.shape[:-2] + (9, 9)) + 1j * dissipator
 
+
+def _propagate(schedule, y0, times, deltas, dissipator=None):
+    """Samples of Y solving i dY/dt = K(t) Y from Y(times[0]) = y0.
+
+    K = H(t) + delta K_z on a ket (3,) or a matrix (3, 3).  With a constant
+    ``dissipator`` D (9, 9), y0 is a density matrix (3, 3), stepped as its
+    row-major vec(rho) under the Liouvillian K of :func:`_liouvillian`
+    (delta K_z is added to H before the lift).
     One fourth-order Magnus step per interval of :func:`_step_grid`, so each
     step lies in one PCHIP piece, where H(t) is smooth (it is C1 at knots).
-    With H1, H2 at the two Gauss nodes, delta K_z included in both, a step h
-    is exp(-iG), G = h/2 (H1 + H2) - i sqrt(3)/12 h^2 [H2, H1], by ``eigh``.
-    ``y0`` is a ket (3,) or a matrix (3, 3); the result has shape
+    With K1, K2 at the two Gauss nodes, a step h is exp(-iG),
+    G = h/2 (K1 + K2) - i sqrt(3)/12 h^2 [K2, K1], by ``eigh`` when G is
+    Hermitian and by ``expm`` otherwise.  The result has shape
     (len(deltas), len(times)) + y0.shape and is never renormalized.
     """
     times = np.asarray(times, dtype=float)
@@ -143,20 +148,29 @@ def _propagate(schedule, y0, times, deltas):
     if not finite.all():
         raise IntegrationFailure("non-finite Hamiltonian", float(nodes[~finite].min()))
     shift = np.multiply.outer(np.asarray(deltas, dtype=float), K_Z)
-    shape = np.shape(y0)
-    path = np.empty((grid.size, len(shift), 3, np.size(y0) // 3), dtype=complex)
-    path[0] = np.reshape(y0, (3, -1))
-    block = max(1, _CHUNK // len(shift))
+    dim = 3 if dissipator is None else 9
+    # the running product, stored only on the grid rows that are samples
+    sample_of = {row: i for i, row in enumerate(np.searchsorted(grid, times).tolist())}
+    samples = np.empty((len(shift), times.size, dim, np.size(y0) // dim), dtype=complex)
+    samples[:, 0] = state = np.reshape(y0, (dim, -1))
+    block = max(1, _CHUNK * 9 // dim**2 // len(shift))
     for lo in range(0, dt.size, block):
         h = dt[lo:lo + block, None, None, None]
-        h1, h2 = hams[0, lo:lo + block] + shift, hams[1, lo:lo + block] + shift
-        gen = 0.5 * h * (h1 + h2) - (1j * _MAGNUS_C) * h**2 * (h2 @ h1 - h1 @ h2)
-        w, v = np.linalg.eigh(gen)
-        steps = (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        for j, step in enumerate(steps, start=lo):
-            np.matmul(step, path[j], out=path[j + 1])
-    samples = path[np.searchsorted(grid, times)].swapaxes(0, 1)
-    return np.ascontiguousarray(samples.reshape(samples.shape[:2] + shape))
+        k1, k2 = hams[0, lo:lo + block] + shift, hams[1, lo:lo + block] + shift
+        if dissipator is not None:
+            k1, k2 = _liouvillian(k1, dissipator), _liouvillian(k2, dissipator)
+        gen = 0.5 * h * (k1 + k2) - (1j * _MAGNUS_C) * h**2 * (k2 @ k1 - k1 @ k2)
+        if dissipator is None:
+            w, v = np.linalg.eigh(gen)
+            steps = (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        else:
+            steps = expm(-1j * gen)
+        for j, step in enumerate(steps, start=lo + 1):
+            if j in sample_of:
+                state = np.matmul(step, state, out=samples[:, sample_of[j]])
+            else:
+                state = step @ state
+    return samples.reshape(samples.shape[:2] + np.shape(y0))
 
 
 def propagate_state(schedule, state, times, delta=0.0):

@@ -11,8 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (K_Z, KET_MINUS1, _integrate, _step_grid,
-                        density_matrix_defects, norm_defect, propagate_state)
+from .operators import (KET_MINUS1, _propagate, _step_grid, density_matrix_defects,
+                        norm_defect, propagate_state)
+
+SOLVER = "magnus4"  # every solve: the fourth-order Magnus stepper, operators._propagate
 
 
 @dataclass
@@ -64,7 +66,11 @@ def relaxation_channels():
 
 
 _CHANNELS = relaxation_channels()
-_CHANNEL_PROJECTORS = [op.conj().T @ op for op in _CHANNELS]
+#: their dissipator at unit rate on row-major vec(rho), for real L_k:
+#: sum_k L_k (x) L_k - (P_k (x) I + I (x) P_k) / 2, with P_k = L_k^T L_k
+_RELAXATION = sum(np.kron(op, op) - 0.5 * (np.kron(op.T @ op, np.eye(3))
+                                          + np.kron(np.eye(3), op.T @ op))
+                  for op in _CHANNELS)
 
 
 def run_schrodinger(schedule, noise: NoiseModel = None, initial=None,
@@ -82,73 +88,53 @@ def run_schrodinger(schedule, noise: NoiseModel = None, initial=None,
         populations=populations,
         final_fidelity=float(populations[-1, 2]),
         trace_defect=norm_defect(states[-1]),
-        metadata={"solver": "magnus4", "steps": _step_grid(schedule, times).size - 1,
+        metadata={"solver": SOLVER, "steps": _step_grid(schedule, times).size - 1,
                   "scheme": label, "noise": {"delta": noise.delta, "gamma": 0.0}},
     )
 
 
 def run_lindblad(schedule, noise: NoiseModel = None, initial=None,
-                 n_samples: int = 1001, rtol: float = 1e-10,
-                 atol: float = 1e-12, label: str = None) -> SimulationResult:
+                 n_samples: int = 1001, label: str = None) -> SimulationResult:
     """Density-matrix propagation with the four relaxation channels.
 
-    ``initial`` may be a state vector or a density matrix.  Sampled density
-    matrices are re-symmetrized, with the worst Hermiticity defect recorded
-    in the metadata rather than hidden.
+    ``initial`` may be a state vector or a density matrix.  Populations are
+    the real diagonal; the worst Hermiticity defect over the samples and the
+    final trace and min-eigenvalue defects are recorded, never repaired.
     """
     noise = noise or NoiseModel()
-    if initial is None:
-        initial = KET_MINUS1
-    initial = np.asarray(initial, dtype=complex)
+    initial = np.asarray(KET_MINUS1 if initial is None else initial, dtype=complex)
     rho0 = np.outer(initial, initial.conj()) if initial.ndim == 1 else initial.copy()
     herm0, trace0, eig0 = density_matrix_defects(rho0)
     if herm0 > 1e-10 or trace0 > 1e-8 or eig0 < -1e-8:
         raise ValueError("initial density matrix must be Hermitian, unit trace, "
                          f"and positive (defects: {herm0:.1e}, {trace0:.1e}, {eig0:.1e})")
     times = np.linspace(*schedule.time_span, n_samples)
-    shift = noise.delta * K_Z
-    gamma = noise.gamma
-
-    def rhs(t, y):
-        rho = y.reshape(3, 3)
-        h = schedule.hamiltonian(t) + shift
-        drho = -1j * (h @ rho - rho @ h)
-        if gamma:
-            for jump, proj in zip(_CHANNELS, _CHANNEL_PROJECTORS):
-                drho += gamma * (jump @ rho @ jump.conj().T
-                                 - 0.5 * (proj @ rho + rho @ proj))
-        return drho.ravel()
-
-    sol = _integrate(rhs, rho0.ravel(), times[0], times[-1], rtol, atol, t_eval=times)
-    rhos = sol.y.T.reshape(-1, 3, 3)
-    herm_defect = float(np.max(np.linalg.norm(rhos - rhos.conj().transpose(0, 2, 1),
-                                              axis=(1, 2))))
-    rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+    rhos = _propagate(schedule, rho0, times, [noise.delta], noise.gamma * _RELAXATION)[0]
     populations = np.real(np.diagonal(rhos, axis1=1, axis2=2))
-    _, trace_defect, min_eig = density_matrix_defects(rhos[-1])
+    herm, trace, min_eig = density_matrix_defects(rhos)
     return SimulationResult(
         time_grid=times,
         populations=populations,
         final_fidelity=float(populations[-1, 2]),
-        trace_defect=trace_defect,
-        metadata={"solver": "lindblad", "scheme": label,
-                  "noise": {"delta": noise.delta, "gamma": noise.gamma},
-                  "rtol": rtol, "atol": atol,
-                  "hermiticity_defect": herm_defect,
-                  "min_eigenvalue": min_eig},
+        trace_defect=float(trace[-1]),
+        metadata={"solver": SOLVER, "steps": _step_grid(schedule, times).size - 1,
+                  "scheme": label, "noise": {"delta": noise.delta, "gamma": noise.gamma},
+                  "hermiticity_defect": float(herm.max()),
+                  "min_eigenvalue": float(min_eig[-1])},
     )
 
 
-def sweep_delta(schedule, deltas, gamma: float = 0.0, n_samples: int = 401,
-                rtol: float = 1e-10, atol: float = 1e-12):
-    """Final P_+1 for each quasistatic error strength; rows (delta, P_+1)."""
+def sweep_delta(schedule, deltas, gamma: float = 0.0, n_samples: int = 401):
+    """Rows (delta, P_+1, Hermiticity, trace and min-eigenvalue defects) of the
+    final state from |-1>, all deltas in one stepper call on the sample grid of
+    :func:`run_lindblad`, so each row equals that run's final state."""
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     if deltas.size == 0:
         raise ValueError("deltas must be non-empty")
-    fidelities = [run_lindblad(schedule, NoiseModel(delta=float(delta), gamma=gamma),
-                               n_samples=n_samples, rtol=rtol, atol=atol).final_fidelity
-                  for delta in deltas]
-    return np.column_stack([deltas, fidelities])
+    times = np.linspace(*schedule.time_span, n_samples)
+    rho0 = np.outer(KET_MINUS1, KET_MINUS1)
+    finals = _propagate(schedule, rho0, times, deltas, gamma * _RELAXATION)[:, -1]
+    return np.column_stack([deltas, finals[:, 2, 2].real, *density_matrix_defects(finals)])
 
 
 def _infidelities(schedule, deltas):

@@ -237,8 +237,11 @@ class TestSweepCommand:
         ordering = (out / "ordering.csv").read_text().splitlines()
         assert ordering[0] == "delta,p_sta,dominant"
         assert (out / "sweep.gp").exists()
-        assert report["schemes"] == {"sta": {"warnings": []}}
-        assert report["unitary_solver"] == "magnus4"
+        [entry] = report["schemes"].values()
+        assert entry["warnings"] == []
+        assert entry["max_trace_defect"] <= 1e-12
+        assert entry["max_hermiticity_defect"] <= 1e-12
+        assert entry["min_eigenvalue"] >= -1e-12
 
     def test_scheme_failure_is_recorded_and_sweep_goes_on(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -265,7 +268,26 @@ class TestSweepCommand:
         # the default SRT block is marginal; its schedule warning reaches the report
         [warning] = report["schemes"]["srt"]["warnings"]
         assert "adiabatic elimination" in warning
-        assert report["schemes"]["sta"] == {"warnings": []}
+        assert report["schemes"]["sta"]["warnings"] == []
         assert (out / "ordering.csv").read_text().splitlines()[0] == \
             "delta,p_geometric,p_srt,p_sta,dominant"
 
+
+
+class TestReruns:
+    @pytest.mark.parametrize("command, report", [("run", "manifest.json"),
+                                                 ("sweep", "sweep_report.json")])
+    def test_byte_identical_and_one_solver_key(self, tmp_path, capsys, command, report):
+        payload = {**REFERENCE, "scheme": "all",
+                   "sweep": {"start": -0.2, "stop": 0.2, "count": 3,
+                             "scaling": {"lo": 0.02, "hi": 0.1, "n": 5}}}
+        path = write_scenario(tmp_path, payload)
+        outputs = []
+        for out in (tmp_path / "first", tmp_path / "second"):
+            assert main([command, "--scenario", str(path), "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        capsys.readouterr()
+        assert report in outputs[0] and outputs[0] == outputs[1]
+        payload = json.loads(outputs[0][report])
+        assert payload["solver"] == "magnus4"
+        assert "tolerances" not in payload and "unitary_solver" not in payload

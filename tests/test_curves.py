@@ -68,6 +68,32 @@ class TestReparametrization:
         grid = np.linspace(0, reference_arc.total_length, 201)
         assert np.array_equal(again.position(grid), reference_arc.position(grid))
 
+    def test_inversion_on_reference_grid(self):
+        # the 2001-point grid of curvature_torsion; residuals against an
+        # independent 20-point Gauss-Legendre quadrature between the roots
+        reference = reference_curve()
+        speed_calls = []
+
+        def counted(dv, first=reference.derivatives[0]):
+            speed_calls.append(np.size(dv))
+            return first(dv)
+
+        curve = ParametricCurve(position=reference.position, name="reference",
+                                derivatives=(counted,) + reference.derivatives[1:])
+        arc = reparametrize_by_arclength(curve)
+        grid = np.linspace(0.0, arc.total_length, 2001)
+        speed_calls.clear()
+        roots = arc.parameter_map(grid)
+        # one speed evaluation for each residual and one for each Newton step
+        newton_steps = len(speed_calls) // 2
+        assert newton_steps <= 5  # 43 when converged points were bisected away
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        lo, hi = np.concatenate([[0.0], roots[:-1]]), roots
+        points = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * nodes
+        speeds = np.linalg.norm(reference.derivatives[0](points.ravel()), axis=1)
+        lengths = np.cumsum((speeds.reshape(-1, 20) * weights).sum(axis=1) * 0.5 * (hi - lo))
+        assert np.max(np.abs(lengths - grid)) <= 1e-12
+
     def test_degenerate_curve_rejected(self):
         point = curve_from_expressions("0", "0", "0", name="point")
         with pytest.raises(DegenerateCurveError):

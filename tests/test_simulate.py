@@ -52,7 +52,7 @@ class TestLindblad:
     def test_matches_schrodinger_without_relaxation(self, scaled_schedule):
         noise = NoiseModel(delta=0.4)
         pure = run_schrodinger(scaled_schedule, noise, n_samples=201)
-        mixed = run_lindblad(scaled_schedule, noise, n_samples=201, rtol=1e-11, atol=1e-13)
+        mixed = run_lindblad(scaled_schedule, noise, n_samples=201)
         assert np.max(np.abs(pure.populations - mixed.populations)) <= 1e-8
 
     def test_trace_preserved_under_relaxation(self):
@@ -101,6 +101,35 @@ class TestLindblad:
         assert np.array_equal(first.populations, second.populations)
 
 
+SCHEMES = ["scaled_schedule", "srt", "stirap", "sta"]
+ORACLE_DELTAS = [0.0, 0.5, -0.3]
+ORACLE_GAMMA = 0.004
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestLindbladStepper:
+    """The Liouville-space Magnus stepper against one DOP853 solve."""
+
+    def test_matches_dop853_oracle(self, scheme, request, dop853_oracle):
+        schedule = request.getfixturevalue(scheme)
+        times = np.linspace(*schedule.time_span, 51)
+        oracle = dop853_oracle(schedule, ORACLE_DELTAS, gamma=ORACLE_GAMMA, times=times)
+        for delta, rhos in zip(ORACLE_DELTAS, oracle):
+            result = run_lindblad(schedule, NoiseModel(delta=delta, gamma=ORACLE_GAMMA),
+                                  n_samples=times.size)
+            expected = np.real(np.diagonal(rhos, axis1=1, axis2=2))
+            assert np.max(np.abs(result.populations - expected)) <= 1e-8
+            assert result.trace_defect <= 1e-12
+
+    def test_batch_member_equals_single_delta(self, scheme, request):
+        schedule = request.getfixturevalue(scheme)
+        rows = sweep_delta(schedule, ORACLE_DELTAS, gamma=ORACLE_GAMMA, n_samples=51)
+        for delta, row in zip(ORACLE_DELTAS, rows):
+            single = run_lindblad(schedule, NoiseModel(delta=delta, gamma=ORACLE_GAMMA),
+                                  n_samples=51)
+            assert abs(row[1] - single.final_fidelity) <= 1e-12
+
+
 class TestSweep:
     def test_zero_row_matches_single_run(self, scaled_schedule):
         rows = sweep_delta(scaled_schedule, [0.0], gamma=GAMMA_NV, n_samples=101)
@@ -123,6 +152,19 @@ class TestSweep:
         srt_rows = sweep_delta(srt, deltas, gamma=GAMMA_NV, n_samples=201)
         assert np.all(geo[:, 1] >= sta_rows[:, 1])
         assert np.all(geo[:, 1] >= srt_rows[:, 1])
+
+    def test_defects_reported_per_delta(self, scaled_schedule):
+        deltas = np.array([-0.5, 0.0, 0.3])
+        rows = sweep_delta(scaled_schedule, deltas, gamma=GAMMA_NV, n_samples=101)
+        assert rows.shape == (3, 5)
+        for delta, row in zip(deltas, rows):
+            single = run_lindblad(scaled_schedule, NoiseModel(delta=delta, gamma=GAMMA_NV),
+                                  n_samples=101)
+            herm, trace, min_eig = row[2:]
+            assert trace == pytest.approx(single.trace_defect, abs=1e-14)
+            assert min_eig == pytest.approx(single.metadata["min_eigenvalue"], abs=1e-12)
+            assert herm <= single.metadata["hermiticity_defect"] + 1e-14
+            assert trace <= 1e-12 and herm <= 1e-12 and min_eig >= -1e-8
 
     def test_empty_grid_rejected(self, sta):
         with pytest.raises(ValueError):
