@@ -41,15 +41,15 @@ def _write_json(path, payload):
 def _write_populations_csv(path, result):
     with open(path, "w", newline="") as fh:
         fh.write("t,p_minus1,p_0,p_plus1\n")
-        for t, row in zip(result.time_grid, result.populations):
-            fh.write(",".join(_fmt(v) for v in (t, *row)) + "\n")
+        # + 0.0 turns -0.0 into 0.0, as _fmt does; %.17g formats as _fmt does
+        table = np.column_stack([result.time_grid, result.populations]) + 0.0
+        fh.writelines("%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in table.tolist())
 
 
 def _write_sweep_csv(path, rows):
     with open(path, "w", newline="") as fh:
         fh.write("delta,p_plus1_final\n")
-        for delta, fid in rows[:, :2]:
-            fh.write(f"{_fmt(delta)},{_fmt(fid)}\n")
+        fh.writelines("%.17g,%.17g\n" % tuple(row) for row in (rows[:, :2] + 0.0).tolist())
 
 
 def _write_plot_script(path, lines):

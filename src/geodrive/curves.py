@@ -72,20 +72,18 @@ class ParametricCurve:
 def curve_from_sympy(expressions, name="curve", max_order=3) -> ParametricCurve:
     """Build a curve from three sympy expressions in the symbol ``d``."""
     d = sp.Symbol("d")
-    vec = sp.Matrix([sp.sympify(e) for e in expressions])
-    fns = []
-    for order in range(max_order + 1):
-        comps = [sp.lambdify(d, comp, modules="numpy") for comp in vec]
-        vec = sp.diff(vec, d)
-        fns.append(comps)
+    vecs = [sp.Matrix([sp.sympify(e) for e in expressions])]
+    for _ in range(max_order):
+        vecs.append(sp.diff(vecs[-1], d))
 
-    def make_eval(comps):
+    def make_eval(vec):
+        components = sp.lambdify(d, list(vec), modules="numpy")
         def evaluate(dv):
             dv = np.atleast_1d(np.asarray(dv, dtype=float))
-            return _as_points([c(dv) for c in comps], dv.size)
+            return _as_points(components(dv), dv.size)
         return evaluate
 
-    evals = [make_eval(c) for c in fns]
+    evals = [make_eval(vec) for vec in vecs]
     return ParametricCurve(position=evals[0], derivatives=tuple(evals[1:]), name=name)
 
 

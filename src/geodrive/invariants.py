@@ -219,12 +219,15 @@ def noise_suppression_term(schedule, n_samples: int = 2001) -> float:
 
     Sums |int <psi_1| K_z |psi_n> dt|^2 over the two other dynamical modes,
     with the modes obtained by propagating the basis states under the ideal
-    schedule.
+    schedule.  Kept per ``n_samples`` in the schedule's ``__dict__``: one solve per schedule.
     """
-    times, mdot = toggling_frame(schedule, n_samples)
-    cross_12 = simpson(mdot[:, 0, 1], x=times)
-    cross_13 = simpson(mdot[:, 0, 2], x=times)
-    return float(abs(cross_12) ** 2 + abs(cross_13) ** 2)
+    memo = schedule.__dict__.setdefault("_noise_terms", {})
+    if n_samples not in memo:
+        times, mdot = toggling_frame(schedule, n_samples)
+        cross_12 = simpson(mdot[:, 0, 1], x=times)
+        cross_13 = simpson(mdot[:, 0, 2], x=times)
+        memo[n_samples] = float(abs(cross_12) ** 2 + abs(cross_13) ** 2)
+    return memo[n_samples]
 
 
 def perturbative_fidelity(schedule, delta: float, n_samples: int = 2001) -> float:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from geodrive import cli
 from geodrive.cli import main
 from geodrive.operators import IntegrationFailure
 from geodrive.scenarios import ScenarioError, load_scenario
+from geodrive.simulate import NoiseModel, run_lindblad
 
 REFERENCE = {
     "version": 1,
@@ -186,6 +188,28 @@ class TestRunCommand:
         geo = manifest["schemes"]["geometric"]
         assert geo["ideal_final_p_plus1"] >= 1 - 1e-6
         assert geo["noisy_final_p_plus1"] >= 0.98
+
+
+def _per_value_populations_csv(path, result):
+    """The writer as it was: one ``format(v + 0.0, ".17g")`` per value."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,p_minus1,p_0,p_plus1\n")
+        for t, row in zip(result.time_grid, result.populations):
+            fh.write(",".join(format(float(v) + 0.0, ".17g") for v in (t, *row)) + "\n")
+
+
+def test_population_csv_matches_per_value_writer(tmp_path, sta):
+    result = run_lindblad(sta, NoiseModel(delta=0.3, gamma=0.002), n_samples=201)
+    populations = result.populations.copy()
+    # values whose text is easy to get wrong: signed zero, tiny, huge, round
+    populations[:8] = np.reshape([-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e300,
+                                         1.0, 0.1, 1 / 3, -2.5, 123456789.0, 1e-5,
+                                         -0.0, 2.0**-1074, 0.5, 1e16, 1e17, 1 - 1e-16,
+                                         7e-8, 3.0, -1.0, 0.25, 1e22, -0.0], (8, 3))
+    result = replace(result, populations=populations)
+    cli._write_populations_csv(tmp_path / "new.csv", result)
+    _per_value_populations_csv(tmp_path / "old.csv", result)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 BAD_BASELINES = [

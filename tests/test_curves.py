@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import sympy as sp
 
 from geodrive.curves import (CurveExpressionError, DegenerateCurveError,
                              ParametricCurve, check_boundary_conditions,
                              curvature_torsion, curve_from_expressions,
-                             curve_from_position, curve_from_table,
+                             curve_from_position, curve_from_sympy, curve_from_table,
                              read_curve_table, reference_curve,
                              reparametrize_by_arclength, write_geometry_csv)
 from geodrive.schedules import reconstruct_curve, synthesize
@@ -302,6 +303,24 @@ class TestCurveInputs:
     def test_expression_rejects_bad_syntax(self):
         with pytest.raises(CurveExpressionError):
             curve_from_expressions("1", "0", "d*(")
+
+    def test_sympy_curve_derivatives(self, monkeypatch):
+        d = sp.Symbol("d")
+        s = sp.sqrt(2) * sp.sin(sp.pi * d)
+        exprs = [(1 - d) * s * sp.cos(sp.pi * d / 2) ** 2, s / 3, 3 * d]  # z'' is constant 0
+        diffs = []
+        diff = sp.diff
+        monkeypatch.setattr(sp, "diff", lambda *args: diffs.append(args) or diff(*args))
+        curve = curve_from_sympy(exprs, max_order=3)
+        assert len(diffs) == 3
+        monkeypatch.undo()
+        x = np.linspace(0.0, 1.0, 2001)
+        vec = sp.Matrix(exprs)
+        for evaluate in (curve.position, *curve.derivatives):
+            expected = np.stack([np.broadcast_to(sp.lambdify(d, comp, modules="numpy")(x), x.shape)
+                                 for comp in vec], axis=1)
+            assert np.array_equal(evaluate(x), expected)
+            vec = vec.diff(d)
 
 
 def test_geometry_csv_output(tmp_path, reference_geometry):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from geodrive.invariants import (InconsistentAnglesError, angles_from_schedule,
                                  lr_phase, lr_phase_series,
                                  noise_suppression_term, perturbative_fidelity,
                                  propagator_rebuild_error, tangent_from_angles)
+from geodrive.baselines import sta_schedule
 from geodrive.operators import KET_MINUS1, unitarity_defect
 from geodrive.schedules import ControlSchedule, reconstruct_curve
 from geodrive.simulate import overlap_fidelity
@@ -162,6 +165,19 @@ class TestPerturbativeFidelity:
             pert = perturbative_fidelity(sta, delta)
             assert abs(exact - pert) <= delta**3
             assert abs(exact - pert) / delta**4 == pytest.approx(c4, rel=1e-2)
+
+    def test_noise_term_solved_once_per_schedule(self, solves):
+        schedule = sta_schedule()
+        first = perturbative_fidelity(schedule, 0.05)
+        assert len(solves) == 1
+        assert perturbative_fidelity(schedule, 0.1) == 1.0 - 0.1**2 * noise_suppression_term(schedule)
+        assert len(solves) == 1
+        copy = replace(schedule)
+        assert perturbative_fidelity(copy, 0.05) == first
+        assert len(solves) == 2
+        noise_suppression_term(schedule, n_samples=1001)
+        assert len(solves) == 3
+        assert noise_suppression_term(schedule) == noise_suppression_term(replace(schedule))
 
 
 class TestTangentConsistency:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -8,6 +10,7 @@ from geodrive.operators import (K_X, K_Y, K_Z, KET_MINUS1, KET_0, KET_PLUS1,
                                 norm_defect, propagate_operator,
                                 propagate_state, scaled_frobenius_norm,
                                 spin1_generators, unitarity_defect)
+from geodrive.simulate import _RELAXATION
 
 SQRT2 = np.sqrt(2.0)
 
@@ -207,3 +210,56 @@ class TestMagnusStepper:
         knot = sta.time[100]
         grid = operators._step_grid(sta, [0.0, knot + 1e-14, sta.time[-1]])
         assert np.min(np.diff(grid)) >= 0.5 * (sta.time[1] - sta.time[0])
+
+
+def _hermitian_stack(rng, count):
+    z = rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3))
+    return z + z.conj().swapaxes(-1, -2)
+
+
+def _at_one_norm(a, norm):
+    return a * (norm / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+EXPM_NORMS = [0.0, 1e-3, 0.1, 0.25, 3.0, 30.0]  # 3 and 30 need squaring
+
+
+class TestExpm:
+    """operators._expm against scipy.linalg.expm, used here only as an oracle."""
+
+    @staticmethod
+    def stacks(rng, norm):
+        ket_steps = -1j * _hermitian_stack(rng, 40)
+        lindblad_steps = -1j * operators._liouvillian(_hermitian_stack(rng, 40),
+                                                      0.3 * _RELAXATION)
+        return [_at_one_norm(a, norm) for a in (ket_steps, lindblad_steps)]
+
+    @pytest.mark.parametrize("norm", EXPM_NORMS)
+    def test_matches_scipy(self, rng, norm):
+        for a in self.stacks(rng, norm):
+            ours = operators._expm(a)
+            oracle = np.array([expm(m) for m in a])
+            err = np.linalg.norm(ours - oracle, axis=(1, 2)) / np.linalg.norm(oracle, axis=(1, 2))
+            assert np.max(err) <= 1e-13
+
+    def test_zero_matrix_gives_identity_exactly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (3, 9):
+                out = operators._expm(np.zeros((2, n, n), dtype=complex))
+                assert np.array_equal(out, np.broadcast_to(np.eye(n), (2, n, n)))
+
+    def test_member_independent_of_batch(self, rng):
+        # norms from 1e-3 to 30 in one batch: its members square different numbers of times
+        for a in self.stacks(rng, 1.0):
+            a = a * np.geomspace(1e-3, 30.0, len(a))[:, None, None]
+            batch = operators._expm(a)
+            for member, m in zip(batch, a):
+                assert np.array_equal(member, operators._expm(m))
+                assert np.array_equal(member, operators._expm(m[None])[0])
+
+    # the shipped schedules' Magnus steps have 1-norms <= 0.12, far below 3
+    @pytest.mark.parametrize("norm", [n for n in EXPM_NORMS if n <= 3.0])
+    def test_ket_steps_are_unitary(self, rng, norm):
+        steps = operators._expm(self.stacks(rng, norm)[0])
+        assert max(unitarity_defect(u) for u in steps) <= 1e-14
