@@ -1,8 +1,8 @@
-"""Complex linear algebra for the driven three-level system.
+"""Linear algebra for the driven three-level system.
 
 Everything lives in the basis {|-1>, |0>, |+1>} (in that order).  States are
 plain complex ndarrays of shape (3,), operators of shape (3, 3).  Angular
-frequencies are rad/us, times are us.
+frequencies are rad/us, times are us.  The stepper works in real coordinates.
 """
 
 from __future__ import annotations
@@ -28,11 +28,33 @@ KET_PLUS1 = np.array([0, 0, 1], dtype=complex)
 for _k in (KET_MINUS1, KET_0, KET_PLUS1):
     _k.flags.writeable = False
 
+#: orthonormal Hermitian basis, Tr(l_a l_b) = delta_ab: the diagonal units, then
+#: (E_jk + E_kj) / sqrt2 and i (E_kj - E_jk) / sqrt2 for j < k
+_UNITS, _OFF = np.eye(9).reshape(9, 3, 3), [(0, 1), (0, 2), (1, 2)]  # E_jk = _UNITS[3 j + k]
+_HERMITIAN_BASIS = np.concatenate(
+    [_UNITS[[0, 4, 8]], [(_UNITS[3 * j + k] + _UNITS[3 * k + j]) / SQRT2 for j, k in _OFF],
+     [1j * (_UNITS[3 * k + j] - _UNITS[3 * j + k]) / SQRT2 for j, k in _OFF]])
+
+
+def _real_lift(embed, generator):
+    """(embed, table) for dy/dt = generator(H) y, y = embed x: with H's 18 floats as
+    a row f, f @ table is Re(embed^H generator(H) embed), flattened; x = Re(embed^H y)."""
+    units = np.eye(18).view(complex).reshape(18, 3, 3)
+    return embed, np.array([(embed.conj().T @ generator(u) @ embed).real.ravel() for u in units])
+
+
+#: kets and propagators as (Re; Im): -iH becomes [[Im H, Re H], [-Re H, Im H]]
+_KET_LIFT = _real_lift(np.hstack([IDENTITY3, 1j * IDENTITY3]), lambda h: -1j * h)
+#: density matrices by x_a = Tr(l_a rho); -i[H, .] acts on row-major vec(rho)
+_DENSITY_LIFT = _real_lift(_HERMITIAN_BASIS.reshape(9, 9).T,
+                           lambda h: -1j * (np.kron(h, IDENTITY3) - np.kron(IDENTITY3, h.T)))
+
 
 #: Gauss-Legendre nodes of a step [t, t + h] sit at mid -+ _GAUSS_OFFSET h
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _MAGNUS_C = np.sqrt(3.0) / 12.0
-_CHUNK = 1024  # 3x3 (step, delta) pairs per exponentiation block; bounds the temporaries
+_BLOCK = 64  # steps per prefix product; fixed in steps, so batch members round as singles
+_ENTRIES = 2**14  # generator entries per build: deltas go in chunks; bounds the temporaries
 _TAYLOR = 1.0 / np.cumprod([1.0, *range(1, 13)])  # 1/k!, k = 0..12, for _expm
 
 
@@ -141,53 +163,49 @@ def _expm(a):
     return out
 
 
-def _liouvillian(h, dissipator):
-    """K(H) with -iK = -i(H (x) I - I (x) H^T) + D, acting on row-major vec(rho)."""
-    lifted = (h[..., :, None, :, None] * IDENTITY3[None, :, None, :]
-              - IDENTITY3[:, None, :, None] * h.swapaxes(-1, -2)[..., None, :, None, :])
-    return lifted.reshape(h.shape[:-2] + (9, 9)) + 1j * dissipator
-
-
 def _propagate(schedule, y0, times, deltas, dissipator=None):
-    """Samples of Y solving i dY/dt = K(t) Y from Y(times[0]) = y0.
+    """Samples of Y solving dY/dt = -i K(t) Y from Y(times[0]) = y0.
 
-    K = H(t) + delta K_z on a ket (3,) or a matrix (3, 3).  With a constant
-    ``dissipator`` D (9, 9), y0 is a density matrix (3, 3), stepped as its
-    row-major vec(rho) under the Liouvillian K of :func:`_liouvillian`
-    (delta K_z is added to H before the lift).
-    One fourth-order Magnus step per interval of :func:`_step_grid`, so each
-    step lies in one PCHIP piece, where H(t) is smooth (it is C1 at knots).
-    With K1, K2 at the two Gauss nodes, a step h is exp(-iG),
-    G = h/2 (K1 + K2) - i sqrt(3)/12 h^2 [K2, K1], by :func:`_expm` for both
-    equations.  The result, (len(deltas), len(times)) + y0.shape, is never renormalized.
+    K = H(t) + delta K_z on a ket (3,) or a matrix (3, 3), or with a constant
+    Hermiticity-preserving ``dissipator`` D (9, 9), -i[K, rho] + D vec(rho) on a
+    density matrix.  Both are stepped in the real coordinates of :func:`_real_lift`,
+    where the generator R is real.  One fourth-order Magnus step per interval of
+    :func:`_step_grid`, so each step lies in one PCHIP piece, where H(t) is smooth
+    (it is C1 at knots).  With R1, R2 at the two Gauss nodes, a step h is exp(A),
+    A = h/2 (R1 + R2) + sqrt(3)/12 h^2 [R2, R1], by :func:`_expm`; each block of
+    steps is a doubling prefix product.  The result,
+    (len(deltas), len(times)) + y0.shape, is never renormalized.
     """
     times = np.asarray(times, dtype=float)
     grid = _step_grid(schedule, times)
     dt = np.diff(grid)
     nodes = 0.5 * (grid[1:] + grid[:-1]) + np.multiply.outer([-_GAUSS_OFFSET, _GAUSS_OFFSET], dt)
-    hams = schedule.hamiltonians(nodes.ravel()).reshape(2, -1, 1, 3, 3)
-    finite = np.isfinite(hams).all(axis=(2, 3, 4))
+    hams = np.ascontiguousarray(schedule.hamiltonians(nodes.ravel()), complex)
+    hams = hams.view(float).reshape(2, -1, 18)
+    finite = np.isfinite(hams).all(axis=2)
     if not finite.all():
         raise IntegrationFailure("non-finite Hamiltonian", float(nodes[~finite].min()))
-    shift = np.multiply.outer(np.asarray(deltas, dtype=float), K_Z)
-    dim = 3 if dissipator is None else 9
-    # the running product, stored only on the grid rows that are samples
-    sample_of = {row: i for i, row in enumerate(np.searchsorted(grid, times).tolist())}
-    samples = np.empty((len(shift), times.size, dim, np.size(y0) // dim), dtype=complex)
-    samples[:, 0] = state = np.reshape(y0, (dim, -1))
-    block = max(1, _CHUNK * 9 // dim**2 // len(shift))
-    for lo in range(0, dt.size, block):
-        h = dt[lo:lo + block, None, None, None]
-        k1, k2 = hams[0, lo:lo + block] + shift, hams[1, lo:lo + block] + shift
-        if dissipator is not None:
-            k1, k2 = _liouvillian(k1, dissipator), _liouvillian(k2, dissipator)
-        gen = 0.5 * h * (k1 + k2) - (1j * _MAGNUS_C) * h**2 * (k2 @ k1 - k1 @ k2)
-        steps = _expm(-1j * gen)
-        for j, step in enumerate(steps, start=lo + 1):
-            if j in sample_of:
-                state = np.matmul(step, state, out=samples[:, sample_of[j]])
-            else:
-                state = step @ state
+    embed, lift = _KET_LIFT if dissipator is None else _DENSITY_LIFT
+    n = embed.shape[1]
+    fixed = 0.0 if dissipator is None else (embed.conj().T @ dissipator @ embed).real
+    offset = np.multiply.outer(deltas, (K_Z.view(float).ravel() @ lift).reshape(n, n)) + fixed
+    start = np.reshape(y0, (embed.shape[0], -1))
+    state = np.repeat((embed.conj().T @ start).real[None], len(offset), axis=0)
+    rows = np.searchsorted(grid, times)
+    samples = np.empty((len(offset), times.size) + start.shape, dtype=complex)
+    samples[:, 0] = start
+    for lo in range(0, dt.size, _BLOCK):
+        h = dt[lo:lo + _BLOCK, None, None, None]
+        base = (hams[:, lo:lo + _BLOCK] @ lift).reshape(2, -1, 1, n, n)
+        taken = np.flatnonzero((rows > lo) & (rows <= lo + _BLOCK))
+        for d in range(0, len(offset), chunk := max(1, _ENTRIES // (_BLOCK * n * n))):
+            r1, r2 = base + offset[d:d + chunk]
+            p = _expm(0.5 * h * (r1 + r2) + _MAGNUS_C * h**2 * (r2 @ r1 - r1 @ r2))
+            for k in 2 ** np.arange(_BLOCK.bit_length() - 1):  # p[j] = step j @ ... @ step 0
+                p[k:] = p[k:] @ p[:-k]
+            p = p @ state[d:d + chunk]
+            state[d:d + chunk] = p[-1]
+            samples[d:d + chunk, taken] = (embed @ p[rows[taken] - lo - 1]).swapaxes(0, 1)
     return samples.reshape(samples.shape[:2] + np.shape(y0))
 
 

@@ -100,6 +100,8 @@ def run_lindblad(schedule, noise: NoiseModel = None, initial=None,
     ``initial`` may be a state vector or a density matrix.  Populations are
     the real diagonal; the worst Hermiticity defect over the samples and the
     final trace and min-eigenvalue defects are recorded, never repaired.
+    Samples after the first are Hermitian by construction, so the worst
+    Hermiticity defect is the initial or the final one.
     """
     noise = noise or NoiseModel()
     initial = np.asarray(KET_MINUS1 if initial is None else initial, dtype=complex)
@@ -111,16 +113,16 @@ def run_lindblad(schedule, noise: NoiseModel = None, initial=None,
     times = np.linspace(*schedule.time_span, n_samples)
     rhos = _propagate(schedule, rho0, times, [noise.delta], noise.gamma * _RELAXATION)[0]
     populations = np.real(np.diagonal(rhos, axis1=1, axis2=2))
-    herm, trace, min_eig = density_matrix_defects(rhos)
+    herm, trace, min_eig = density_matrix_defects(rhos[-1])
     return SimulationResult(
         time_grid=times,
         populations=populations,
         final_fidelity=float(populations[-1, 2]),
-        trace_defect=float(trace[-1]),
+        trace_defect=float(trace),
         metadata={"solver": SOLVER, "steps": _step_grid(schedule, times).size - 1,
                   "scheme": label, "noise": {"delta": noise.delta, "gamma": noise.gamma},
-                  "hermiticity_defect": float(herm.max()),
-                  "min_eigenvalue": float(min_eig[-1])},
+                  "hermiticity_defect": float(max(herm0, herm)),
+                  "min_eigenvalue": float(min_eig)},
     )
 
 

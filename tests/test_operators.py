@@ -217,6 +217,83 @@ def _hermitian_stack(rng, count):
     return z + z.conj().swapaxes(-1, -2)
 
 
+def _lindblad_generator(h, dissipator):
+    """-i(H (x) I - I (x) H^T) + D on row-major vec(rho), for a stack of H."""
+    eye = np.eye(3)
+    lifted = (h[..., :, None, :, None] * eye[None, :, None, :]
+              - eye[:, None, :, None] * h.swapaxes(-1, -2)[..., None, :, None, :])
+    return -1j * lifted.reshape(h.shape[:-2] + (9, 9)) + dissipator
+
+
+def _realify(h):
+    """-iH acting on (Re psi; Im psi), from its blocks."""
+    return np.block([[h.imag, h.real], [-h.real, h.imag]])
+
+
+#: row a is vec(l_a)^*, so T vec(rho) = (Tr(l_a rho))_a
+_T = operators._HERMITIAN_BASIS.reshape(9, 9).conj()
+
+
+def _lifted(h, lift, n):
+    """A stack of H through a lift table: its 18 floats times the table, as (n, n)."""
+    return (h.view(float).reshape(len(h), 18) @ lift).reshape(len(h), n, n)
+
+
+class TestRealCoordinates:
+    def test_hermitian_basis_orthonormal(self):
+        basis = operators._HERMITIAN_BASIS
+        assert np.array_equal(basis, basis.conj().swapaxes(-1, -2))
+        gram = np.einsum("aij,bji->ab", basis, basis)
+        assert np.max(np.abs(gram - np.eye(9))) <= 1e-15
+
+    def test_hermitian_round_trip(self, rng):
+        rho = _hermitian_stack(rng, 20)
+        coords = np.einsum("aij,nji->na", operators._HERMITIAN_BASIS, rho)
+        assert np.max(np.abs(coords.imag)) <= 1e-15
+        back = np.einsum("na,aij->nij", coords.real, operators._HERMITIAN_BASIS)
+        assert np.max(np.abs(back - rho)) <= 1e-14
+        again = np.einsum("aij,nji->na", operators._HERMITIAN_BASIS, back).real
+        assert np.max(np.abs(again - coords.real)) <= 1e-14
+
+    def test_ket_lift_is_realified_generator(self, rng):
+        h = _hermitian_stack(rng, 20)
+        assert np.array_equal(_lifted(h, operators._KET_LIFT[1], 6), _realify(h))
+
+    def test_lindblad_lift_matches_liouvillian(self, rng):
+        h = _hermitian_stack(rng, 20)
+        embed, lift = operators._DENSITY_LIFT
+        assert np.array_equal(embed, _T.conj().T)
+        dissipator = (_T @ _RELAXATION @ _T.conj().T).real
+        expected = _T @ _lindblad_generator(h, _RELAXATION) @ _T.conj().T
+        assert np.max(np.abs(expected.imag)) <= 1e-14
+        assert np.max(np.abs(_lifted(h, lift, 9) + dissipator - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("equation", ["ket", "density"])
+    def test_batch_member_bitwise_equal_to_single_delta(self, sta, equation):
+        y0, dissipator = KET_MINUS1, None
+        if equation == "density":
+            y0, dissipator = np.outer(KET_MINUS1, KET_MINUS1), 0.004 * _RELAXATION
+        times = np.linspace(*sta.time_span, 37)
+        for size in (1, 3, 7):
+            deltas = np.linspace(-0.4, 0.3, size)
+            batch = operators._propagate(sta, y0, times, deltas, dissipator)
+            for delta, member in zip(deltas, batch):
+                single = operators._propagate(sta, y0, times, [delta], dissipator)[0]
+                assert np.array_equal(member, single)
+
+    @pytest.mark.parametrize("equation", ["ket", "density"])
+    def test_dense_final_row_equals_endpoint_call(self, sta, equation):
+        y0, dissipator = KET_MINUS1, None
+        if equation == "density":
+            y0, dissipator = np.outer(KET_MINUS1, KET_MINUS1), 0.004 * _RELAXATION
+        # samples on knots add no steps: both calls step from knot to knot
+        times = np.union1d(sta.time[::7], sta.time[-1])
+        assert operators._step_grid(sta, times).size > 3 * operators._BLOCK
+        dense = operators._propagate(sta, y0, times, [0.2], dissipator)[0]
+        final = operators._propagate(sta, y0, sta.time_span, [0.2], dissipator)[0]
+        assert np.array_equal(dense[-1], final[-1])
+
+
 def _at_one_norm(a, norm):
     return a * (norm / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
 
@@ -229,10 +306,14 @@ class TestExpm:
 
     @staticmethod
     def stacks(rng, norm):
+        """-iH and Liouvillian stacks, complex, then in the stepper's real coordinates."""
         ket_steps = -1j * _hermitian_stack(rng, 40)
-        lindblad_steps = -1j * operators._liouvillian(_hermitian_stack(rng, 40),
-                                                      0.3 * _RELAXATION)
-        return [_at_one_norm(a, norm) for a in (ket_steps, lindblad_steps)]
+        lindblad_steps = _lindblad_generator(_hermitian_stack(rng, 40), 0.3 * _RELAXATION)
+        real_ket_steps = _realify(_hermitian_stack(rng, 40))
+        real_lindblad_steps = (_T @ _lindblad_generator(_hermitian_stack(rng, 40), 0.3 * _RELAXATION)
+                               @ _T.conj().T).real
+        return [_at_one_norm(a, norm) for a in
+                (ket_steps, lindblad_steps, real_ket_steps, real_lindblad_steps)]
 
     @pytest.mark.parametrize("norm", EXPM_NORMS)
     def test_matches_scipy(self, rng, norm):
@@ -245,8 +326,8 @@ class TestExpm:
     def test_zero_matrix_gives_identity_exactly(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for n in (3, 9):
-                out = operators._expm(np.zeros((2, n, n), dtype=complex))
+            for n, dtype in ((3, complex), (9, complex), (6, float), (9, float)):
+                out = operators._expm(np.zeros((2, n, n), dtype=dtype))
                 assert np.array_equal(out, np.broadcast_to(np.eye(n), (2, n, n)))
 
     def test_member_independent_of_batch(self, rng):
@@ -261,5 +342,6 @@ class TestExpm:
     # the shipped schedules' Magnus steps have 1-norms <= 0.12, far below 3
     @pytest.mark.parametrize("norm", [n for n in EXPM_NORMS if n <= 3.0])
     def test_ket_steps_are_unitary(self, rng, norm):
-        steps = operators._expm(self.stacks(rng, norm)[0])
-        assert max(unitarity_defect(u) for u in steps) <= 1e-14
+        complex_steps, real_steps = (operators._expm(a) for a in self.stacks(rng, norm)[::2])
+        assert max(unitarity_defect(u) for u in complex_steps) <= 1e-14
+        assert max(np.linalg.norm(o.T @ o - np.eye(6)) for o in real_steps) <= 1e-14

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,21 @@ class TestSweep:
             assert min_eig == pytest.approx(single.metadata["min_eigenvalue"], abs=1e-12)
             assert herm <= single.metadata["hermiticity_defect"] + 1e-14
             assert trace <= 1e-12 and herm <= 1e-12 and min_eig >= -1e-8
+
+    def test_wide_sweep_memory(self, stirap):
+        # 8.38 MB: the peak of the stepper that exponentiated 113 (step, delta)
+        # pairs per block in complex arithmetic; a build of every step's
+        # generators at once would hold 2 x 2800 x 101 of them
+        deltas = np.linspace(-0.8, 0.8, 101)
+        sweep_delta(stirap, deltas[:2], gamma=0.003)  # the schedule's lazy interpolant
+        tracemalloc.start()
+        try:
+            rows = sweep_delta(stirap, deltas, gamma=0.003, n_samples=401)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.38e6
+        assert np.max(rows[:, 3]) <= 1e-13 and np.max(rows[:, 2]) == 0.0
 
     def test_empty_grid_rejected(self, sta):
         with pytest.raises(ValueError):
