@@ -11,7 +11,7 @@ from .curves import (ArcLengthCurve, BoundaryReport, CurveGeometry,
                      DegenerateCurveError, ParametricCurve,
                      check_boundary_conditions, curvature_torsion,
                      curve_from_expressions, curve_from_position,
-                     curve_from_sympy, curve_from_table, read_curve_table,
+                     curve_from_table, read_curve_table,
                      reference_curve, reparametrize_by_arclength)
 from .invariants import (InconsistentAnglesError, InvariantAngles,
                          angles_from_schedule, evolution_operator,

@@ -1,22 +1,25 @@
 """Three-dimensional parametric curves and their arc-length geometry.
 
-Curves enter in one of three forms: closed-form sympy expressions in the
-parameter d (analytic derivatives), dense sample tables (quintic-spline
-derivatives), or bare position callables (finite-difference derivatives).
+Curves enter in one of three forms: closed-form expression strings in the
+parameter d (exact derivatives, by Taylor-jet arithmetic over the parsed
+expression), dense sample tables (quintic-spline derivatives), or bare
+position callables (finite-difference derivatives).
 Everything downstream works with the arc-length form, from which curvature
 and torsion are read off.
 """
 
 from __future__ import annotations
 
+import ast
 import csv
 import functools
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
-from scipy.interpolate import CubicHermiteSpline, make_interp_spline
+
+from .numerics import CubicHermite
 
 _GL_ORDER = 10
 
@@ -31,14 +34,6 @@ class CurveExpressionError(ValueError):
     def __init__(self, component, message):
         super().__init__(f"component {component!r}: {message}")
         self.component = component
-
-
-def _as_points(values, n):
-    """Stack a lambdified component tuple into an (n, 3) float array."""
-    out = np.empty((n, 3), dtype=float)
-    for j, comp in enumerate(values):
-        out[:, j] = np.broadcast_to(comp, (n,))
-    return out
 
 
 @dataclass
@@ -69,55 +64,122 @@ class ParametricCurve:
             raise DegenerateCurveError(f"curve {self.name!r} produced non-finite samples")
 
 
-def curve_from_sympy(expressions, name="curve", max_order=3) -> ParametricCurve:
-    """Build a curve from three sympy expressions in the symbol ``d``."""
-    d = sp.Symbol("d")
-    vecs = [sp.Matrix([sp.sympify(e) for e in expressions])]
-    for _ in range(max_order):
-        vecs.append(sp.diff(vecs[-1], d))
-
-    def make_eval(vec):
-        components = sp.lambdify(d, list(vec), modules="numpy")
-        def evaluate(dv):
-            dv = np.atleast_1d(np.asarray(dv, dtype=float))
-            return _as_points(components(dv), dv.size)
-        return evaluate
-
-    evals = [make_eval(vec) for vec in vecs]
-    return ParametricCurve(position=evals[0], derivatives=tuple(evals[1:]), name=name)
-
-
 _EXPRESSION_NAMES = {"sin", "cos", "pi", "d"}
-#: numeric literals, scientific notation included, outside identifiers
-_NUMBER = re.compile(r"(?<![A-Za-z_])(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+#: a number glued to a name, such as "2e": a syntax error best reported as the name
+_GLUED = re.compile(r"(?<![\w.])[\d.]+(?:[eE][+-]?\d+)?([A-Za-z_]\w*)")
+
+
+def _lift(value, k):
+    return np.array([value] + [0.0] * k)[:, None]
+
+
+def _product(a, b):
+    return np.array([sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))])
+
+
+def _quotient(a, b):
+    q = []
+    for j in range(len(a)):
+        q.append((a[j] - sum(b[i] * q[j - i] for i in range(1, j + 1))) / b[0])
+    return np.array(q)
+
+
+def _sin_cos(u):
+    s, c = [np.sin(u[0])], [np.cos(u[0])]
+    for j in range(1, len(u)):
+        s.append(sum(i * u[i] * c[j - i] for i in range(1, j + 1)) / j)
+        c.append(-sum(i * u[i] * s[j - i] for i in range(1, j + 1)) / j)
+    return np.array(s), np.array(c)
+
+
+def _power(a, n):
+    """a^n for an integer n, by repeated squaring."""
+    out = one = _lift(1.0, len(a) - 1)
+    for bit in bin(abs(n))[2:]:
+        out = _product(out, out) if bit == "0" else _product(_product(out, out), a)
+    return out if n >= 0 else _quotient(one, out)
+
+
+def _has_d(node):
+    return any(getattr(n, "id", None) == "d" for n in ast.walk(node))
+
+
+_RULES = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: _product, ast.Div: _quotient}
+
+
+def _jet(node, d, k):
+    """Taylor jet of an expression about each point of d: rows f, f', f''/2, ...,
+    f^(k)/k!, shape (k + 1, d.size), or (k + 1, 1) where it is free of d.
+
+    An exponent must be free of d, and an integer unless its base is free of d
+    too.  Anything outside the grammar raises ValueError.
+    """
+    match node:
+        case ast.Constant(value=int() | float() as value) if not isinstance(value, bool):
+            return _lift(float(value), k)
+        case ast.Name(id="pi"):
+            return _lift(np.pi, k)
+        case ast.Name(id="d"):
+            return np.array([d, np.ones_like(d)] + [np.zeros_like(d)] * (k - 1))[:k + 1]
+        case ast.UnaryOp(op=ast.UAdd() | ast.USub() as op, operand=operand):
+            return -_jet(operand, d, k) if isinstance(op, ast.USub) else _jet(operand, d, k)
+        case ast.Call(func=ast.Name(id="sin" | "cos" as name), args=[arg], keywords=[]):
+            return _sin_cos(_jet(arg, d, k))[name == "cos"]
+        case ast.BinOp(left=base, op=ast.Pow(), right=exponent):
+            if _has_d(exponent):
+                raise ValueError(f"exponent {ast.unparse(exponent)!r} depends on d")
+            n = float(_jet(exponent, d, 0)[0, 0])
+            if n.is_integer():
+                return _power(_jet(base, d, k), int(n))
+            if _has_d(base):
+                raise ValueError(f"exponent {n!r} of an expression in d is not an integer")
+            return _lift(_jet(base, d, 0)[0, 0] ** n, k)
+        case ast.BinOp(left=left, op=ast.Add() | ast.Sub() | ast.Mult() | ast.Div() as op,
+                       right=right):
+            return _RULES[type(op)](_jet(left, d, k), _jet(right, d, k))
+    raise ValueError(f"unsupported syntax {ast.unparse(node)!r}")
 
 
 def _parse_component(component, text):
+    """The ``ast`` of one component, ``^`` read as ``**``, checked against the grammar."""
     if not isinstance(text, str) or not text.strip():
         raise CurveExpressionError(component, "expected a non-empty expression string")
-    cleaned = text.replace("^", "**")
-    names = set(re.findall(r"[A-Za-z_]+", _NUMBER.sub(" ", cleaned)))
-    unknown = names - _EXPRESSION_NAMES
+    cleaned = text.strip().replace("^", "**")
+    try:
+        tree = ast.parse(cleaned, mode="eval").body
+        unknown = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} - _EXPRESSION_NAMES
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        unknown = set(_GLUED.findall(cleaned)) - _EXPRESSION_NAMES
+        if not unknown:
+            raise CurveExpressionError(
+                component, f"invalid syntax: {getattr(exc, 'msg', exc)}") from exc
     if unknown:
         raise CurveExpressionError(
             component, f"unknown names {sorted(unknown)}; allowed: sin, cos, pi, d")
-    local = {"sin": sp.sin, "cos": sp.cos, "pi": sp.pi, "d": sp.Symbol("d")}
-    constructors = {"Float": sp.Float, "Integer": sp.Integer,
-                    "Rational": sp.Rational, "Symbol": sp.Symbol}
     try:
-        expr = sp.parse_expr(cleaned, local_dict=local, global_dict=constructors)
-    except Exception as exc:
+        with np.errstate(all="ignore"):
+            _jet(tree, np.zeros(1), 0)
+    except (ValueError, ArithmeticError, RecursionError) as exc:
         raise CurveExpressionError(component, str(exc)) from exc
-    if not expr.free_symbols <= {sp.Symbol("d")}:
-        raise CurveExpressionError(component, "only the parameter d may appear")
-    return expr
+    return tree
 
 
 def curve_from_expressions(x, y, z, name="expression-curve") -> ParametricCurve:
-    """Curve from three expression strings in d (grammar: + - * / ^ sin cos pi)."""
-    exprs = [_parse_component(label, text)
-             for label, text in (("x", x), ("y", y), ("z", z))]
-    return curve_from_sympy(exprs, name=name)
+    """Curve from three expression strings in d (grammar: + - * / ^ sin cos pi d).
+
+    The k-th derivative is k! times row k of each component's :func:`_jet`.
+    """
+    trees = [_parse_component(label, text) for label, text in zip("xyz", (x, y, z))]
+
+    def evaluate(dv, order):
+        dv = np.atleast_1d(np.asarray(dv, dtype=float))
+        scale = math.factorial(order)
+        return np.column_stack([np.broadcast_to(scale * _jet(tree, dv, order)[order], dv.shape)
+                                for tree in trees])
+
+    return ParametricCurve(position=functools.partial(evaluate, order=0), name=name,
+                           derivatives=tuple(functools.partial(evaluate, order=k)
+                                             for k in (1, 2, 3)))
 
 
 def curve_from_table(d_values, points, name="table-curve") -> ParametricCurve:
@@ -130,6 +192,7 @@ def curve_from_table(d_values, points, name="table-curve") -> ParametricCurve:
         raise ValueError("need at least 8 table rows")
     if np.any(np.diff(d_values) <= 0):
         raise ValueError("table parameter column must be strictly increasing")
+    from scipy.interpolate import make_interp_spline  # imported here: table curves only
     spline = make_interp_spline(d_values, points, k=5)
     derivs = [spline.derivative(order) for order in (1, 2, 3)]
 
@@ -202,12 +265,11 @@ def reference_curve() -> ParametricCurve:
     r2 = sqrt(2) sin(pi d) (cos^2(pi d/2), 0, sin^2(pi d/2)).
     Starts and ends at the origin with tangents +z and -z.
     """
-    d = sp.Symbol("d")
-    s = sp.sqrt(2) * sp.sin(sp.pi * d)
-    r1 = [0, s * sp.sin(sp.pi * d / 2) ** 2, s * sp.cos(sp.pi * d / 2) ** 2]
-    r2 = [s * sp.cos(sp.pi * d / 2) ** 2, 0, s * sp.sin(sp.pi * d / 2) ** 2]
-    blended = [(1 - d) * a + d * b for a, b in zip(r1, r2)]
-    return curve_from_sympy(blended, name="reference")
+    return curve_from_expressions(
+        "d*2^(1/2)*sin(pi*d)*cos(pi*d/2)^2",
+        "(1-d)*2^(1/2)*sin(pi*d)*sin(pi*d/2)^2",
+        "(1-d)*2^(1/2)*sin(pi*d)*cos(pi*d/2)^2 + d*2^(1/2)*sin(pi*d)*sin(pi*d/2)^2",
+        name="reference")
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +394,11 @@ def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
 def from_samples(times, positions, tangents, name="reconstructed") -> ArcLengthCurve:
     """Arc-length curve from (t, r, rdot) samples via cubic Hermite pieces."""
     times = np.asarray(times, dtype=float)
-    spline = CubicHermiteSpline(times, np.asarray(positions, dtype=float),
-                                np.asarray(tangents, dtype=float))
-    pieces = (spline,) + tuple(spline.derivative(k) for k in (1, 2, 3))
+    pieces = CubicHermite(times, np.asarray(positions, dtype=float),
+                          np.asarray(tangents, dtype=float))
 
     def jet(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return tuple(np.atleast_2d(f(t)) for f in pieces)
+        return tuple(pieces(np.atleast_1d(np.asarray(t, dtype=float)), order=3))
 
     return ArcLengthCurve(total_length=float(times[-1] - times[0]), jet=jet, name=name)
 

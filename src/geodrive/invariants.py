@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
+from .numerics import cumulative_simpson, simpson
 from .operators import K_X, K_Y, K_Z, SQRT2, propagate_operator, toggling_frame
 
 OMEGA0 = 1.0  # invariant eigenvalue scale; arbitrary, cancels in observables
@@ -205,7 +205,7 @@ def lr_phase_series(schedule, angles: InvariantAngles, mode_index: int = 1):
     hams = schedule.hamiltonians(angles.time)
     inner_h = np.einsum("nj,njk,nk->n", states.conj(), hams, states)
     integrand = (1j * inner_dt - inner_h).real
-    return cumulative_simpson(integrand, x=angles.time, initial=0.0)
+    return cumulative_simpson(integrand, angles.time)
 
 
 def lr_phase(schedule, angles: InvariantAngles, t: float, mode_index: int = 1) -> float:
@@ -224,9 +224,7 @@ def noise_suppression_term(schedule, n_samples: int = 2001) -> float:
     memo = schedule.__dict__.setdefault("_noise_terms", {})
     if n_samples not in memo:
         times, mdot = toggling_frame(schedule, n_samples)
-        cross_12 = simpson(mdot[:, 0, 1], x=times)
-        cross_13 = simpson(mdot[:, 0, 2], x=times)
-        memo[n_samples] = float(abs(cross_12) ** 2 + abs(cross_13) ** 2)
+        memo[n_samples] = float(np.sum(np.abs(simpson(mdot[:, 0, 1:], times)) ** 2))
     return memo[n_samples]
 
 

@@ -8,7 +8,6 @@ frequencies are rad/us, times are us.  The stepper works in real coordinates.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 SQRT2 = np.sqrt(2.0)
 
@@ -133,6 +132,7 @@ def _step_grid(schedule, times):
 
 def _integrate(rhs, y0, t0, t1, rtol, atol, t_eval=None):
     """Adaptive DOP853 solve: the Magnus stepper's oracle in the tests."""
+    from scipy.integrate import solve_ivp  # imported here: no program path solves with it
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
                     t_eval=t_eval)
     if not sol.success:
@@ -163,7 +163,7 @@ def _expm(a):
     return out
 
 
-def _propagate(schedule, y0, times, deltas, dissipator=None):
+def _propagate(schedule, y0, times, deltas, dissipator=None, grid=None):
     """Samples of Y solving dY/dt = -i K(t) Y from Y(times[0]) = y0.
 
     K = H(t) + delta K_z on a ket (3,) or a matrix (3, 3), or with a constant
@@ -174,10 +174,11 @@ def _propagate(schedule, y0, times, deltas, dissipator=None):
     (it is C1 at knots).  With R1, R2 at the two Gauss nodes, a step h is exp(A),
     A = h/2 (R1 + R2) + sqrt(3)/12 h^2 [R2, R1], by :func:`_expm`; each block of
     steps is a doubling prefix product.  The result,
-    (len(deltas), len(times)) + y0.shape, is never renormalized.
+    (len(deltas), len(times)) + y0.shape, is never renormalized.  A caller that
+    needs the step count passes ``grid = _step_grid(schedule, times)`` itself.
     """
     times = np.asarray(times, dtype=float)
-    grid = _step_grid(schedule, times)
+    grid = _step_grid(schedule, times) if grid is None else grid
     dt = np.diff(grid)
     nodes = 0.5 * (grid[1:] + grid[:-1]) + np.multiply.outer([-_GAUSS_OFFSET, _GAUSS_OFFSET], dt)
     hams = np.ascontiguousarray(schedule.hamiltonians(nodes.ravel()), complex)

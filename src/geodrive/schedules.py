@@ -12,10 +12,9 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
 
 from . import curves as _curves
+from .numerics import CubicHermite, cumulative_simpson, pchip_slopes
 from .operators import K_X, K_Y, K_Z, SQRT2, toggling_frame
 
 PHASE_MODE = "phase"
@@ -44,8 +43,8 @@ class _InterpolatedFields:
             raise ValueError(f"t = {t} outside schedule support [{t0}, {t1}]")
         if "_interpolant" not in self.__dict__:
             columns = np.stack([getattr(self, name) for name in self._FIELDS], axis=-1)
-            self._interpolant = PchipInterpolator(self.time, columns)
-        return tuple(np.moveaxis(self._interpolant(t), -1, 0))
+            self._interpolant = CubicHermite(self.time, columns, pchip_slopes(self.time, columns))
+        return tuple(np.moveaxis(self._interpolant(t)[0], -1, 0))
 
     def hamiltonian(self, t):
         return self.hamiltonians(np.array([t], dtype=float))[0]
@@ -209,7 +208,7 @@ def synthesize(geometry: "_curves.CurveGeometry", mode: str = PHASE_MODE) -> Con
         warnings = (f"{geometry.flagged_count} torsion samples were flagged "
                     "(curvature below threshold); phase continued through them",)
     if mode == PHASE_MODE:
-        phi = cumulative_simpson(geometry.torsion, x=grid, initial=0.0)
+        phi = cumulative_simpson(geometry.torsion, grid)
         return ControlSchedule(time=grid, omega=geometry.curvature.copy(),
                                delta=np.zeros_like(grid), phi=phi,
                                mode=PHASE_MODE, warnings=warnings)
@@ -238,7 +237,7 @@ def reconstruct_curve(schedule, n_samples: int = None) -> "_curves.ArcLengthCurv
     tangents = np.stack([
         0.5 * np.einsum("ij,nji->n", k, mdot).real for k in (K_X, K_Y, K_Z)
     ], axis=1)
-    positions = cumulative_simpson(tangents, x=grid, initial=0.0, axis=0)
+    positions = cumulative_simpson(tangents, grid)
     return _curves.from_samples(grid - grid[0], positions, tangents,
                                 name=f"reconstructed({getattr(schedule, 'mode', 'schedule')})")
 

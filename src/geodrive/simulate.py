@@ -81,14 +81,15 @@ def run_schrodinger(schedule, noise: NoiseModel = None, initial=None,
         raise ValueError("run_schrodinger handles gamma = 0 only; use run_lindblad")
     psi0 = np.asarray(KET_MINUS1 if initial is None else initial, dtype=complex)
     times = np.linspace(*schedule.time_span, n_samples)
-    states = propagate_state(schedule, psi0, times, delta=noise.delta)
+    grid = _step_grid(schedule, times)
+    states = _propagate(schedule, psi0, times, [noise.delta], grid=grid)[0]
     populations = np.abs(states) ** 2
     return SimulationResult(
         time_grid=times,
         populations=populations,
         final_fidelity=float(populations[-1, 2]),
         trace_defect=norm_defect(states[-1]),
-        metadata={"solver": SOLVER, "steps": _step_grid(schedule, times).size - 1,
+        metadata={"solver": SOLVER, "steps": grid.size - 1,
                   "scheme": label, "noise": {"delta": noise.delta, "gamma": 0.0}},
     )
 
@@ -111,7 +112,8 @@ def run_lindblad(schedule, noise: NoiseModel = None, initial=None,
         raise ValueError("initial density matrix must be Hermitian, unit trace, "
                          f"and positive (defects: {herm0:.1e}, {trace0:.1e}, {eig0:.1e})")
     times = np.linspace(*schedule.time_span, n_samples)
-    rhos = _propagate(schedule, rho0, times, [noise.delta], noise.gamma * _RELAXATION)[0]
+    grid = _step_grid(schedule, times)
+    rhos = _propagate(schedule, rho0, times, [noise.delta], noise.gamma * _RELAXATION, grid)[0]
     populations = np.real(np.diagonal(rhos, axis1=1, axis2=2))
     herm, trace, min_eig = density_matrix_defects(rhos[-1])
     return SimulationResult(
@@ -119,7 +121,7 @@ def run_lindblad(schedule, noise: NoiseModel = None, initial=None,
         populations=populations,
         final_fidelity=float(populations[-1, 2]),
         trace_defect=float(trace),
-        metadata={"solver": SOLVER, "steps": _step_grid(schedule, times).size - 1,
+        metadata={"solver": SOLVER, "steps": grid.size - 1,
                   "scheme": label, "noise": {"delta": noise.delta, "gamma": noise.gamma},
                   "hermiticity_defect": float(max(herm0, herm)),
                   "min_eigenvalue": float(min_eig)},

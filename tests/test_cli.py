@@ -1,14 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geodrive import cli
 from geodrive.cli import main
+from geodrive.curves import curve_from_expressions
 from geodrive.operators import IntegrationFailure
 from geodrive.scenarios import ScenarioError, load_scenario
 from geodrive.simulate import NoiseModel, run_lindblad
+from test_curves import REFERENCE_EXPRESSIONS
 
 REFERENCE = {
     "version": 1,
@@ -105,6 +111,38 @@ class TestValidateCurveCommand:
         payload = {**REFERENCE, "curve": {"x": "frob(d)", "y": "0", "z": "d"}}
         code = main(["validate-curve", "--scenario", str(write_scenario(tmp_path, payload))])
         assert code == 2
+
+    @pytest.mark.parametrize("text, reason", [
+        ("d^0.5", "not an integer"),
+        ("sin(pi*d)^(1/3)", "not an integer"),
+        ("d^d", "depends on d"),
+        ("2^d", "depends on d"),
+        ("d.real", "unsupported syntax"),
+        ("exp(d)", "unknown names ['exp']"),
+        ("(d)(2)", "unsupported syntax"),
+        ("sin(d, d)", "unsupported syntax"),
+        ("sin(x=d)", "unsupported syntax"),
+        ("d[0]", "unsupported syntax"),
+        ("(lambda: d)()", "unsupported syntax"),
+        ("d % 2", "unsupported syntax"),
+    ])
+    def test_expression_outside_grammar_is_input_error(self, tmp_path, capsys, text, reason):
+        payload = {**REFERENCE, "curve": {"x": "0", "y": text, "z": "d"}}
+        code = main(["validate-curve", "--scenario", str(write_scenario(tmp_path, payload))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "curve.y: component 'y'" in err and reason in err
+        assert "Traceback" not in err
+
+    def test_constant_exponent_expression_matches_builtin(self, tmp_path, capsys):
+        payload = {**REFERENCE, "curve": dict(zip("xyz", REFERENCE_EXPRESSIONS))}
+        assert main(["validate-curve", "--scenario", str(write_scenario(tmp_path, payload))]) == 0
+        expression = json.loads(capsys.readouterr().out)
+        assert main(["validate-curve", "--scenario", str(write_scenario(tmp_path, REFERENCE))]) == 0
+        builtin = json.loads(capsys.readouterr().out)
+        assert expression.pop("curve") == "expression" and builtin.pop("curve") == "reference"
+        assert expression == builtin
+        assert curve_from_expressions("2^(1/2)*d", "0", "d").position(1.0)[0, 0] == np.sqrt(2.0)
 
     def test_baseline_scenario_is_input_error(self, tmp_path):
         payload = {"version": 1, "scheme": "sta"}
@@ -315,3 +353,23 @@ class TestReruns:
         payload = json.loads(outputs[0][report])
         assert payload["solver"] == "magnus4"
         assert "tolerances" not in payload and "unitary_solver" not in payload
+
+
+@pytest.mark.parametrize("command", [
+    "import geodrive.cli",
+    "from geodrive.cli import main\n"
+    "if main(['validate-curve', '--scenario', sys.argv[1]]) != 0:\n"
+    "    sys.exit('validate-curve failed')",
+], ids=["import", "validate-curve"])
+def test_import_path_loads_neither_sympy_nor_scipy(tmp_path, command):
+    """A CLI process imports numpy only: sympy and scipy cost ~1 s of set-up."""
+    path = write_scenario(tmp_path, REFERENCE)
+    script = ("import sys\n" + command + "\n"
+              "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'scipy'))\n"
+              "if loaded:\n"
+              "    sys.exit(f'loaded {loaded}')\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

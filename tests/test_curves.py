@@ -5,7 +5,7 @@ import sympy as sp
 from geodrive.curves import (CurveExpressionError, DegenerateCurveError,
                              ParametricCurve, check_boundary_conditions,
                              curvature_torsion, curve_from_expressions,
-                             curve_from_position, curve_from_sympy, curve_from_table,
+                             curve_from_position, curve_from_table,
                              read_curve_table, reference_curve,
                              reparametrize_by_arclength, write_geometry_csv)
 from geodrive.schedules import reconstruct_curve, synthesize
@@ -177,7 +177,7 @@ class TestJet:
         d = np.linspace(0.0, 1.0, 401)
         u = 2 * np.pi * d
         pts = np.stack([np.cos(u), np.sin(u), 1.5 * d], axis=1)
-        if kind == "sympy":
+        if kind == "expression":
             return reparametrize_by_arclength(helix_curve())
         if kind == "table":
             return reparametrize_by_arclength(curve_from_table(d, pts))
@@ -188,7 +188,7 @@ class TestJet:
         arc = reparametrize_by_arclength(helix_curve())
         return reconstruct_curve(synthesize(curvature_torsion(arc, n_samples=501)))
 
-    @pytest.mark.parametrize("kind", ["sympy", "table", "finite-difference", "reconstructed"])
+    @pytest.mark.parametrize("kind", ["expression", "table", "finite-difference", "reconstructed"])
     def test_components_equal_accessors(self, kind):
         arc = self.helix_arc(kind)
         grid = np.linspace(0.0, arc.total_length, 37)
@@ -304,23 +304,56 @@ class TestCurveInputs:
         with pytest.raises(CurveExpressionError):
             curve_from_expressions("1", "0", "d*(")
 
-    def test_sympy_curve_derivatives(self, monkeypatch):
-        d = sp.Symbol("d")
-        s = sp.sqrt(2) * sp.sin(sp.pi * d)
-        exprs = [(1 - d) * s * sp.cos(sp.pi * d / 2) ** 2, s / 3, 3 * d]  # z'' is constant 0
-        diffs = []
-        diff = sp.diff
-        monkeypatch.setattr(sp, "diff", lambda *args: diffs.append(args) or diff(*args))
-        curve = curve_from_sympy(exprs, max_order=3)
-        assert len(diffs) == 3
-        monkeypatch.undo()
-        x = np.linspace(0.0, 1.0, 2001)
-        vec = sp.Matrix(exprs)
-        for evaluate in (curve.position, *curve.derivatives):
-            expected = np.stack([np.broadcast_to(sp.lambdify(d, comp, modules="numpy")(x), x.shape)
-                                 for comp in vec], axis=1)
-            assert np.array_equal(evaluate(x), expected)
-            vec = vec.diff(d)
+
+REFERENCE_EXPRESSIONS = (
+    "d*2^(1/2)*sin(pi*d)*cos(pi*d/2)^2",
+    "(1-d)*2^(1/2)*sin(pi*d)*sin(pi*d/2)^2",
+    "(1-d)*2^(1/2)*sin(pi*d)*cos(pi*d/2)^2 + d*2^(1/2)*sin(pi*d)*sin(pi*d/2)^2",
+)
+
+
+def bump_expressions(eps, k):
+    # the reference curve plus sin^2(pi d) sin(k pi d) bumps, written the way the
+    # benchmark's input generator writes them
+    return [f"{base} + ({e:.12f})*sin(pi*d)^2*sin({kk}*pi*d)"
+            for base, e, kk in zip(REFERENCE_EXPRESSIONS, eps, k)]
+
+
+@pytest.mark.parametrize("expressions", [
+    REFERENCE_EXPRESSIONS,
+    ("cos(2*pi*d)", "sin(2*pi*d)", "1.5*d"),
+    bump_expressions((0.05, -0.03, 0.02), (2, 3, 4)),
+    bump_expressions((-0.08, 0.06, -0.1), (5, 1, 2)),
+    bump_expressions((0.1, 0.1, -0.04), (3, 6, 1)),
+], ids=["reference", "helix", "bumps-1", "bumps-2", "bumps-3"])
+def test_jet_derivatives_match_sympy(expressions):
+    """Orders 0-3 against sympy's lambdified derivatives, relative to each order's scale."""
+    curve = curve_from_expressions(*expressions)
+    d = sp.Symbol("d")
+    vec = sp.Matrix([sp.sympify(text.replace("^", "**")) for text in expressions])
+    x = np.linspace(0.0, 1.0, 2001)
+    for order in range(4):
+        expected = np.stack([np.broadcast_to(sp.lambdify(d, comp, modules="numpy")(x), x.shape)
+                             for comp in vec], axis=1)
+        error = np.max(np.abs(curve.derivative(order)(x) - expected))
+        assert error <= 1e-13 * np.max(np.abs(expected)), order
+        vec = vec.diff(d)
+
+
+def test_reference_curve_is_its_expressions():
+    d = np.linspace(0.0, 1.0, 101)
+    fresh = curve_from_expressions(*REFERENCE_EXPRESSIONS)
+    for order in range(4):
+        assert np.array_equal(reference_curve().derivative(order)(d), fresh.derivative(order)(d))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2^(1/2)*d", SQRT2 * 0.3), ("d^-2", 1 / 0.09), ("-d^2", -0.09),
+    ("d^2.0/(1+d)", 0.09 / 1.3), ("sin(pi/6)^3*d", 0.125 * 0.3),
+])
+def test_expression_constant_folding_and_powers(text, value):
+    position = curve_from_expressions(text, "0", "d").position(0.3)
+    assert position[0, 0] == pytest.approx(value, rel=1e-15)
 
 
 def test_geometry_csv_output(tmp_path, reference_geometry):

@@ -1,0 +1,67 @@
+"""geodrive.numerics against scipy, which the tests keep as the oracle."""
+
+import numpy as np
+import pytest
+from scipy.integrate import cumulative_simpson, simpson
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+
+from geodrive import numerics
+from geodrive.schedules import read_schedule_csv, write_schedule_csv
+
+
+def _columns(schedule):
+    return np.stack([getattr(schedule, name) for name in schedule._FIELDS], axis=-1)
+
+
+def _assert_pchip_matches(schedule, rng):
+    columns = _columns(schedule)
+    t0, t1 = schedule.time_span
+    times = np.concatenate([rng.uniform(t0, t1, 20_000), schedule.time[::7], [t0, t1]])
+    expected = PchipInterpolator(schedule.time, columns)(times)
+    got = np.stack(schedule.values(times), axis=-1)
+    scale = np.maximum(np.max(np.abs(columns), axis=0), 1e-300)
+    assert np.max(np.abs(got - expected) / scale) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["natural_schedule", "stirap", "sta", "srt"])
+def test_pchip_matches_scipy_on_shipped_schedules(request, rng, name):
+    _assert_pchip_matches(request.getfixturevalue(name), rng)
+
+
+def test_pchip_matches_scipy_on_jittered_csv_schedule(tmp_path, natural_schedule, rng):
+    # the time column is uniform only to the 1e-9 relative that schedules accept,
+    # so no piece index may be taken from (t - t0) / h
+    step = natural_schedule.time[1] - natural_schedule.time[0]
+    jitter = rng.uniform(-2e-10, 2e-10, natural_schedule.time.size) * step
+    jitter[[0, -1]] = 0.0
+    path = tmp_path / "schedule.csv"
+    write_schedule_csv(natural_schedule, path)
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for row, shift in zip(rows, jitter):
+        row[0] = f"{float(row[0]) + shift:.17g}"
+    path.write_text("\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
+    schedule = read_schedule_csv(path)
+    assert np.ptp(np.diff(schedule.time)) > 1e-11 * step
+    _assert_pchip_matches(schedule, rng)
+
+
+def test_hermite_derivatives_match_scipy(rng):
+    x = np.cumsum(rng.uniform(0.5, 1.5, 60))
+    y, slopes = rng.normal(size=(60, 3)), rng.normal(size=(60, 3))
+    t = np.concatenate([rng.uniform(x[0], x[-1], 500), x])
+    spline = CubicHermiteSpline(x, y, slopes)
+    for order, value in enumerate(numerics.CubicHermite(x, y, slopes)(t, order=3)):
+        expected = spline.derivative(order)(t) if order else spline(t)
+        assert np.max(np.abs(value - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_simpson_rules_match_scipy(n):
+    x = np.linspace(0.0, 2.3, n)
+    y = np.stack([np.cos(3.0 * x) * np.exp(-x), x**3 - x, np.sin(7.0 * x) ** 2], axis=1)
+    y = y + 1j * np.roll(y, 1, axis=1)
+    scale = 2.3 * np.max(np.abs(y))
+    got = numerics.cumulative_simpson(y, x)
+    assert np.max(np.abs(got - cumulative_simpson(y, x=x, initial=0.0, axis=0))) <= 1e-14 * scale
+    assert np.max(np.abs(numerics.simpson(y, x) - simpson(y, x=x, axis=0))) <= 1e-14 * scale

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from geodrive.numerics import CubicHermite
 
 from geodrive.curves import (curvature_torsion, curve_from_expressions,
                              reparametrize_by_arclength)
@@ -68,13 +68,13 @@ class TestControlScheduleContract:
     def test_hamiltonian_is_one_interpolant_call(self, request, monkeypatch, name):
         schedule = request.getfixturevalue(name)
         calls = []
-        evaluate = PchipInterpolator.__call__
+        evaluate = CubicHermite.__call__
 
         def counted(self, *args, **kwargs):
             calls.append(args[0])
             return evaluate(self, *args, **kwargs)
 
-        monkeypatch.setattr(PchipInterpolator, "__call__", counted)
+        monkeypatch.setattr(CubicHermite, "__call__", counted)
         t = 0.37 * schedule.duration
         h = schedule.hamiltonian(t)
         assert len(calls) == 1

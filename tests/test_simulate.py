@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from geodrive import operators, simulate
 from geodrive.operators import KET_0
 from geodrive.schedules import ControlSchedule
 from geodrive.simulate import (NoiseModel, infidelity_scaling_exponent,
@@ -220,6 +221,23 @@ class TestScalingExponents:
         pop = run_schrodinger(scaled_schedule, NoiseModel(delta=0.05)).final_fidelity
         ovl = overlap_fidelity(scaled_schedule, 0.05)
         assert ovl == pytest.approx(pop, abs=1e-8)
+
+
+@pytest.mark.parametrize("run", [run_schrodinger, run_lindblad])
+def test_one_step_grid_per_solve(monkeypatch, stirap, run):
+    """The steps in the metadata come from the grid the solve stepped on."""
+    grids = []
+    build = operators._step_grid
+
+    def counted(schedule, times):
+        grids.append(build(schedule, times))
+        return grids[-1]
+
+    monkeypatch.setattr(operators, "_step_grid", counted)
+    monkeypatch.setattr(simulate, "_step_grid", counted)
+    result = run(stirap, NoiseModel(delta=0.1), n_samples=301)
+    assert len(grids) == 1
+    assert result.metadata["steps"] == grids[0].size - 1 > stirap.time.size - 1
 
 
 @pytest.mark.parametrize("delta", [0.05, -0.05, 0.5])
