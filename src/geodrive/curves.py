@@ -14,6 +14,7 @@ import ast
 import csv
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -67,81 +68,122 @@ class ParametricCurve:
 _EXPRESSION_NAMES = {"sin", "cos", "pi", "d"}
 #: a number glued to a name, such as "2e": a syntax error best reported as the name
 _GLUED = re.compile(r"(?<![\w.])[\d.]+(?:[eE][+-]?\d+)?([A-Za-z_]\w*)")
+_FOLD = {"sin": math.sin, "cos": math.cos, "Add": operator.add, "Mult": operator.mul,
+         "Div": operator.truediv}
 
 
-def _lift(value, k):
-    return np.array([value] + [0.0] * k)[:, None]
+def _fold(op, *args):
+    """The node (op, *args), or its value when every operand is a float."""
+    return _FOLD[op](*args) if all(isinstance(x, float) for x in args) else (op, *args)
+
+
+def _compile(node):
+    """An expression's ``ast`` as nested tuples (op, *operands) over the leaf "d",
+    with a - b as a + (-1) b and every subexpression free of d folded to a float.
+
+    An exponent must be free of d, and an integer unless its base is free of d
+    too; this and anything outside the grammar raises ValueError.
+    """
+    match node:
+        case ast.Constant(value=int() | float() as value) if not isinstance(value, bool):
+            return float(value)
+        case ast.Name(id="pi" | "d" as name):
+            return math.pi if name == "pi" else "d"
+        case ast.UnaryOp(op=ast.UAdd(), operand=operand):
+            return _compile(operand)
+        case ast.UnaryOp(op=ast.USub(), operand=operand):
+            return _fold("Mult", -1.0, _compile(operand))
+        case ast.Call(func=ast.Name(id="sin" | "cos" as name), args=[arg], keywords=[]):
+            return _fold(name, _compile(arg))
+        case ast.BinOp(op=ast.Sub()):
+            return _fold("Add", _compile(node.left), _fold("Mult", -1.0, _compile(node.right)))
+        case ast.BinOp(op=ast.Add() | ast.Mult() | ast.Div()):
+            return _fold(type(node.op).__name__, _compile(node.left), _compile(node.right))
+        case ast.BinOp(op=ast.Pow()):
+            base, exponent = _compile(node.left), _compile(node.right)
+            if not isinstance(exponent, float):
+                raise ValueError(f"exponent {ast.unparse(node.right)!r} depends on d")
+            if isinstance(base, float):
+                if isinstance(base ** exponent, complex):
+                    raise ValueError(f"{ast.unparse(node)!r} is not a real number")
+                return base ** exponent
+            if not exponent.is_integer():
+                raise ValueError(f"exponent {exponent!r} of an expression in d is not an integer")
+            return ("Pow", base, int(exponent))
+    raise ValueError(f"unsupported syntax {ast.unparse(node)!r}")
+
+
+def _zero(row):
+    """Whether a jet row, an array or a float, is an exact float zero, as the
+    rows of d and of constants are; arithmetic with those is left out."""
+    return isinstance(row, float) and row == 0.0
+
+
+def _dot(xs, ys):
+    terms = [x * y for x, y in zip(xs, ys) if not (_zero(x) or _zero(y))]
+    return sum(terms[1:], terms[0]) if terms else 0.0
+
+
+def _sum(a, b):
+    return [y if _zero(x) else x if _zero(y) else x + y for x, y in zip(a, b)]
 
 
 def _product(a, b):
-    return np.array([sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))])
+    return [_dot(a[:j + 1], b[j::-1]) for j in range(len(a))]
 
 
 def _quotient(a, b):
     q = []
     for j in range(len(a)):
-        q.append((a[j] - sum(b[i] * q[j - i] for i in range(1, j + 1))) / b[0])
-    return np.array(q)
+        rest = _dot(b[1:j + 1], q[::-1])
+        q.append((a[j] if _zero(rest) else a[j] - rest) / b[0])
+    return q
+
+
+def _power(a, n):
+    """a^n for an integer n, by repeated squaring."""
+    out, one = a, [1.0] + [0.0] * (len(a) - 1)
+    for bit in bin(abs(n))[3:]:
+        out = _product(out, out) if bit == "0" else _product(_product(out, out), a)
+    return one if n == 0 else out if n > 0 else _quotient(one, out)
 
 
 def _sin_cos(u):
     s, c = [np.sin(u[0])], [np.cos(u[0])]
     for j in range(1, len(u)):
-        s.append(sum(i * u[i] * c[j - i] for i in range(1, j + 1)) / j)
-        c.append(-sum(i * u[i] * s[j - i] for i in range(1, j + 1)) / j)
-    return np.array(s), np.array(c)
+        du = [i * u[i] for i in range(1, j + 1)]
+        s.append(_dot(du, c[::-1]) / j)
+        c.append(-_dot(du, s[-2::-1]) / j)
+    return s, c
 
 
-def _power(a, n):
-    """a^n for an integer n, by repeated squaring."""
-    out = one = _lift(1.0, len(a) - 1)
-    for bit in bin(abs(n))[2:]:
-        out = _product(out, out) if bit == "0" else _product(_product(out, out), a)
-    return out if n >= 0 else _quotient(one, out)
+_RULES = {"Add": _sum, "Mult": _product, "Div": _quotient}
 
 
-def _has_d(node):
-    return any(getattr(n, "id", None) == "d" for n in ast.walk(node))
+def _jet(expr, d, k, memo):
+    """Taylor jet of a compiled expression about the points d: the rows f, f',
+    f''/2, ..., f^(k)/k!, each an array over d or a float.
 
-
-_RULES = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: _product, ast.Div: _quotient}
-
-
-def _jet(node, d, k):
-    """Taylor jet of an expression about each point of d: rows f, f', f''/2, ...,
-    f^(k)/k!, shape (k + 1, d.size), or (k + 1, 1) where it is free of d.
-
-    An exponent must be free of d, and an integer unless its base is free of d
-    too.  Anything outside the grammar raises ValueError.
+    + acts termwise, * and / by the Cauchy product and its inverse, sin and
+    cos by their coupled recurrence, ^ by repeated products.  ``memo`` keeps
+    every subexpression's jet, so a repeated one is evaluated once.
     """
-    match node:
-        case ast.Constant(value=int() | float() as value) if not isinstance(value, bool):
-            return _lift(float(value), k)
-        case ast.Name(id="pi"):
-            return _lift(np.pi, k)
-        case ast.Name(id="d"):
-            return np.array([d, np.ones_like(d)] + [np.zeros_like(d)] * (k - 1))[:k + 1]
-        case ast.UnaryOp(op=ast.UAdd() | ast.USub() as op, operand=operand):
-            return -_jet(operand, d, k) if isinstance(op, ast.USub) else _jet(operand, d, k)
-        case ast.Call(func=ast.Name(id="sin" | "cos" as name), args=[arg], keywords=[]):
-            return _sin_cos(_jet(arg, d, k))[name == "cos"]
-        case ast.BinOp(left=base, op=ast.Pow(), right=exponent):
-            if _has_d(exponent):
-                raise ValueError(f"exponent {ast.unparse(exponent)!r} depends on d")
-            n = float(_jet(exponent, d, 0)[0, 0])
-            if n.is_integer():
-                return _power(_jet(base, d, k), int(n))
-            if _has_d(base):
-                raise ValueError(f"exponent {n!r} of an expression in d is not an integer")
-            return _lift(_jet(base, d, 0)[0, 0] ** n, k)
-        case ast.BinOp(left=left, op=ast.Add() | ast.Sub() | ast.Mult() | ast.Div() as op,
-                       right=right):
-            return _RULES[type(op)](_jet(left, d, k), _jet(right, d, k))
-    raise ValueError(f"unsupported syntax {ast.unparse(node)!r}")
+    if isinstance(expr, float):
+        return [expr] + [0.0] * k
+    if expr not in memo:
+        if expr == "d":
+            memo[expr] = ([d, 1.0] + [0.0] * k)[:k + 1]
+        elif expr[0] in ("sin", "cos"):
+            memo[("sin", expr[1])], memo[("cos", expr[1])] = _sin_cos(_jet(expr[1], d, k, memo))
+        elif expr[0] == "Pow":
+            memo[expr] = _power(_jet(expr[1], d, k, memo), expr[2])
+        else:
+            memo[expr] = _RULES[expr[0]](*(_jet(x, d, k, memo) for x in expr[1:]))
+    return memo[expr]
 
 
 def _parse_component(component, text):
-    """The ``ast`` of one component, ``^`` read as ``**``, checked against the grammar."""
+    """One component, ``^`` read as ``**``, parsed with ``ast`` and compiled."""
     if not isinstance(text, str) or not text.strip():
         raise CurveExpressionError(component, "expected a non-empty expression string")
     cleaned = text.strip().replace("^", "**")
@@ -157,25 +199,24 @@ def _parse_component(component, text):
         raise CurveExpressionError(
             component, f"unknown names {sorted(unknown)}; allowed: sin, cos, pi, d")
     try:
-        with np.errstate(all="ignore"):
-            _jet(tree, np.zeros(1), 0)
+        return _compile(tree)
     except (ValueError, ArithmeticError, RecursionError) as exc:
         raise CurveExpressionError(component, str(exc)) from exc
-    return tree
 
 
 def curve_from_expressions(x, y, z, name="expression-curve") -> ParametricCurve:
     """Curve from three expression strings in d (grammar: + - * / ^ sin cos pi d).
 
-    The k-th derivative is k! times row k of each component's :func:`_jet`.
+    The k-th derivative is k! times row k of each component's :func:`_jet`;
+    the three components share one memo per evaluation.
     """
-    trees = [_parse_component(label, text) for label, text in zip("xyz", (x, y, z))]
+    exprs = [_parse_component(label, text) for label, text in zip("xyz", (x, y, z))]
 
     def evaluate(dv, order):
         dv = np.atleast_1d(np.asarray(dv, dtype=float))
-        scale = math.factorial(order)
-        return np.column_stack([np.broadcast_to(scale * _jet(tree, dv, order)[order], dv.shape)
-                                for tree in trees])
+        memo, scale = {}, math.factorial(order)
+        return np.column_stack([np.broadcast_to(scale * _jet(expr, dv, order, memo)[order],
+                                                dv.shape) for expr in exprs])
 
     return ParametricCurve(position=functools.partial(evaluate, order=0), name=name,
                            derivatives=tuple(functools.partial(evaluate, order=k)

@@ -125,6 +125,8 @@ class TestValidateCurveCommand:
         ("d[0]", "unsupported syntax"),
         ("(lambda: d)()", "unsupported syntax"),
         ("d % 2", "unsupported syntax"),
+        ("d + 1/(2 - 2)", "division by zero"),
+        ("d*(-8)^(1/3)", "not a real number"),
     ])
     def test_expression_outside_grammar_is_input_error(self, tmp_path, capsys, text, reason):
         payload = {**REFERENCE, "curve": {"x": "0", "y": text, "z": "d"}}
