@@ -104,9 +104,10 @@ def _compile(node):
             if not isinstance(exponent, float):
                 raise ValueError(f"exponent {ast.unparse(node.right)!r} depends on d")
             if isinstance(base, float):
-                if isinstance(base ** exponent, complex):
+                value = base ** exponent
+                if isinstance(value, complex):
                     raise ValueError(f"{ast.unparse(node)!r} is not a real number")
-                return base ** exponent
+                return value
             if not exponent.is_integer():
                 raise ValueError(f"exponent {exponent!r} of an expression in d is not an integer")
             return ("Pow", base, int(exponent))
