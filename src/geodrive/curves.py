@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CubicHermite
+from .numerics import CubicHermite, quintic_spline
 
 _GL_ORDER = 10
 
@@ -48,6 +48,7 @@ class ParametricCurve:
     position: callable
     derivatives: tuple = ()
     name: str = "curve"
+    jet: callable = None  # d -> (r, r', r'', r''') from one evaluation, where the form has one
 
     @property
     def derivative_order(self) -> int:
@@ -205,6 +206,16 @@ def _parse_component(component, text):
         raise CurveExpressionError(component, str(exc)) from exc
 
 
+def _curve_from_jet(evaluate, name):
+    """A curve whose position, derivatives and jet all read evaluate(d, lo, hi),
+    the list of the d-derivatives of orders lo .. hi at the (n,) array d."""
+    def accessor(lo, hi, pick=operator.itemgetter(0)):
+        return lambda dv: pick(evaluate(np.atleast_1d(np.asarray(dv, dtype=float)), lo, hi))
+
+    return ParametricCurve(position=accessor(0, 0), name=name, jet=accessor(0, 3, tuple),
+                           derivatives=tuple(accessor(k, k) for k in (1, 2, 3)))
+
+
 def curve_from_expressions(x, y, z, name="expression-curve") -> ParametricCurve:
     """Curve from three expression strings in d (grammar: + - * / ^ sin cos pi d).
 
@@ -213,15 +224,13 @@ def curve_from_expressions(x, y, z, name="expression-curve") -> ParametricCurve:
     """
     exprs = [_parse_component(label, text) for label, text in zip("xyz", (x, y, z))]
 
-    def evaluate(dv, order):
-        dv = np.atleast_1d(np.asarray(dv, dtype=float))
-        memo, scale = {}, math.factorial(order)
-        return np.column_stack([np.broadcast_to(scale * _jet(expr, dv, order, memo)[order],
-                                                dv.shape) for expr in exprs])
+    def evaluate(dv, lo, hi):
+        memo = {}
+        rows = [_jet(expr, dv, hi, memo) for expr in exprs]
+        return [np.column_stack([np.broadcast_to(math.factorial(k) * row[k], dv.shape)
+                                 for row in rows]) for k in range(lo, hi + 1)]
 
-    return ParametricCurve(position=functools.partial(evaluate, order=0), name=name,
-                           derivatives=tuple(functools.partial(evaluate, order=k)
-                                             for k in (1, 2, 3)))
+    return _curve_from_jet(evaluate, name)
 
 
 def curve_from_table(d_values, points, name="table-curve") -> ParametricCurve:
@@ -234,16 +243,8 @@ def curve_from_table(d_values, points, name="table-curve") -> ParametricCurve:
         raise ValueError("need at least 8 table rows")
     if np.any(np.diff(d_values) <= 0):
         raise ValueError("table parameter column must be strictly increasing")
-    from scipy.interpolate import make_interp_spline  # imported here: table curves only
-    spline = make_interp_spline(d_values, points, k=5)
-    derivs = [spline.derivative(order) for order in (1, 2, 3)]
-
-    def wrap(f):
-        return lambda dv: np.atleast_2d(f(np.atleast_1d(np.asarray(dv, dtype=float))))
-
-    return ParametricCurve(position=wrap(spline),
-                           derivatives=tuple(wrap(f) for f in derivs),
-                           name=name)
+    spline = quintic_spline(d_values, points)
+    return _curve_from_jet(lambda dv, lo, hi: spline(dv, hi)[lo:], name)
 
 
 def read_curve_table(path, name=None) -> ParametricCurve:
@@ -409,12 +410,12 @@ def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
             guess = np.where(open_, np.where(outside, 0.5 * (lo_b + hi_b), proposal), guess)
         return guess
 
-    d1f, d2f, d3f = (curve.derivative(k) for k in (1, 2, 3))
+    jet = curve.jet or (lambda dv: tuple(curve.derivative(k)(dv) for k in range(4)))
 
     def chain(t_values):
-        # one inversion d(t), then the chain rule for the three t-derivatives
+        # one inversion d(t), one jet of r(d), then the chain rule for the t-derivatives
         dv = invert(t_values)
-        v1, v2, v3 = d1f(dv), d2f(dv), d3f(dv)
+        v0, v1, v2, v3 = jet(dv)
         speed = np.linalg.norm(v1, axis=1, keepdims=True)
         a = (v1 * v2).sum(axis=1, keepdims=True)
         b = (v2 * v2).sum(axis=1, keepdims=True) + (v1 * v3).sum(axis=1, keepdims=True)
@@ -422,7 +423,7 @@ def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
         rddot = v2 / speed**2 - v1 * a / speed**4
         rdddot = (v3 / speed**3 - 3.0 * v2 * a / speed**5
                   - v1 * b / speed**5 + 4.0 * v1 * a**2 / speed**7)
-        return curve.position(dv), rdot, rddot, rdddot
+        return v0, rdot, rddot, rdddot
 
     return ArcLengthCurve(
         total_length=total,

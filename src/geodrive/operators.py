@@ -173,7 +173,9 @@ def _propagate(schedule, y0, times, deltas, dissipator=None, grid=None):
     :func:`_step_grid`, so each step lies in one PCHIP piece, where H(t) is smooth
     (it is C1 at knots).  With R1, R2 at the two Gauss nodes, a step h is exp(A),
     A = h/2 (R1 + R2) + sqrt(3)/12 h^2 [R2, R1], by :func:`_expm`; each block of
-    steps is a doubling prefix product.  The result,
+    steps is a doubling prefix product, after folding step pairs while every
+    sample in the block falls on a pair boundary: the same association, so
+    the same bits, with fewer products.  The result,
     (len(deltas), len(times)) + y0.shape, is never renormalized.  A caller that
     needs the step count passes ``grid = _step_grid(schedule, times)`` itself.
     """
@@ -199,14 +201,19 @@ def _propagate(schedule, y0, times, deltas, dissipator=None, grid=None):
         h = dt[lo:lo + _BLOCK, None, None, None]
         base = (hams[:, lo:lo + _BLOCK] @ lift).reshape(2, -1, 1, n, n)
         taken = np.flatnonzero((rows > lo) & (rows <= lo + _BLOCK))
+        ends = rows[taken] - lo  # steps up to each sample in the block
+        every = len(h) | int(np.bitwise_or.reduce(ends, initial=0))
+        fold = (every & -every).bit_length() - 1  # 2^fold divides every end and len(h)
         for d in range(0, len(offset), chunk := max(1, _ENTRIES // (_BLOCK * n * n))):
             r1, r2 = base + offset[d:d + chunk]
             p = _expm(0.5 * h * (r1 + r2) + _MAGNUS_C * h**2 * (r2 @ r1 - r1 @ r2))
-            for k in 2 ** np.arange(_BLOCK.bit_length() - 1):  # p[j] = step j @ ... @ step 0
+            for _ in range(fold):  # pair the steps as the scan's first round would
+                p = p[1::2] @ p[::2]
+            for k in 2 ** np.arange(_BLOCK.bit_length() - 1 - fold):  # p[j] = steps 0 .. j
                 p[k:] = p[k:] @ p[:-k]
             p = p @ state[d:d + chunk]
             state[d:d + chunk] = p[-1]
-            samples[d:d + chunk, taken] = (embed @ p[rows[taken] - lo - 1]).swapaxes(0, 1)
+            samples[d:d + chunk, taken] = (embed @ p[(ends >> fold) - 1]).swapaxes(0, 1)
     return samples.reshape(samples.shape[:2] + np.shape(y0))
 
 

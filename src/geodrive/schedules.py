@@ -321,9 +321,9 @@ def write_schedule_csv(schedule, path, sidecar_path=None, provenance=None):
 
 def read_schedule_csv(path, mode=PHASE_MODE):
     """Read back a common-envelope schedule CSV."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
-    if names[:4] != ("t", "omega", "delta", "phi"):
-        raise ValueError(f"{path}: expected columns t,omega,delta,phi")
-    return ControlSchedule(time=data["t"], omega=data["omega"],
-                           delta=data["delta"], phi=data["phi"], mode=mode)
+    with open(path) as fh:
+        header = [name.strip() for name in fh.readline().split(",")]
+        if header[:4] != ["t", "omega", "delta", "phi"]:
+            raise ValueError(f"{path}: expected columns t,omega,delta,phi")
+        time, omega, delta, phi = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(4)).T
+    return ControlSchedule(time=time, omega=omega, delta=delta, phi=phi, mode=mode)

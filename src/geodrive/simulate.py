@@ -130,14 +130,15 @@ def run_lindblad(schedule, noise: NoiseModel = None, initial=None,
 
 def sweep_delta(schedule, deltas, gamma: float = 0.0, n_samples: int = 401):
     """Rows (delta, P_+1, Hermiticity, trace and min-eigenvalue defects) of the
-    final state from |-1>, all deltas in one stepper call on the sample grid of
-    :func:`run_lindblad`, so each row equals that run's final state."""
+    final state from |-1>, all deltas in one stepper call that steps on the grid
+    of :func:`run_lindblad` but samples only its end, so each row equals that
+    run's final state."""
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     if deltas.size == 0:
         raise ValueError("deltas must be non-empty")
-    times = np.linspace(*schedule.time_span, n_samples)
+    grid = _step_grid(schedule, np.linspace(*schedule.time_span, n_samples))
     rho0 = np.outer(KET_MINUS1, KET_MINUS1)
-    finals = _propagate(schedule, rho0, times, deltas, gamma * _RELAXATION)[:, -1]
+    finals = _propagate(schedule, rho0, grid[[0, -1]], deltas, gamma * _RELAXATION, grid)[:, -1]
     return np.column_stack([deltas, finals[:, 2, 2].real, *density_matrix_defects(finals)])
 
 

@@ -33,6 +33,14 @@ def write_scenario(tmp_path, payload, name="scenario.json"):
     return path
 
 
+def write_table(tmp_path, d, name="curve.csv"):
+    """A d,x,y,z table of the reference curve at the parameters d."""
+    rows = np.column_stack([d, curve_from_expressions(*REFERENCE_EXPRESSIONS).position(d)])
+    np.savetxt(tmp_path / name, rows, fmt="%.17g", delimiter=",", header="d,x,y,z",
+               comments="")
+    return {**REFERENCE, "curve": {"table": name}}
+
+
 def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
 
@@ -145,6 +153,17 @@ class TestValidateCurveCommand:
         assert expression.pop("curve") == "expression" and builtin.pop("curve") == "reference"
         assert expression == builtin
         assert curve_from_expressions("2^(1/2)*d", "0", "d").position(1.0)[0, 0] == np.sqrt(2.0)
+
+    @pytest.mark.parametrize("d, reason", [
+        (np.linspace(0.0, 1.0, 7), "at least 8 table rows"),
+        (np.linspace(0.0, 1.0, 20)[[0, 1, 2, 4, 3, *range(5, 20)]], "strictly increasing"),
+    ], ids=["seven-rows", "non-increasing"])
+    def test_bad_table_is_input_error(self, tmp_path, capsys, d, reason):
+        payload = write_table(tmp_path, d)
+        code = main(["validate-curve", "--scenario", str(write_scenario(tmp_path, payload))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "curve.table" in err and reason in err and "Traceback" not in err
 
     def test_baseline_scenario_is_input_error(self, tmp_path):
         payload = {"version": 1, "scheme": "sta"}
@@ -357,16 +376,21 @@ class TestReruns:
         assert "tolerances" not in payload and "unitary_solver" not in payload
 
 
-@pytest.mark.parametrize("command", [
-    "import geodrive.cli",
-    "from geodrive.cli import main\n"
-    "if main(['validate-curve', '--scenario', sys.argv[1]]) != 0:\n"
-    "    sys.exit('validate-curve failed')",
-], ids=["import", "validate-curve"])
-def test_import_path_loads_neither_sympy_nor_scipy(tmp_path, command):
+@pytest.mark.parametrize("command, curve", [
+    ("import", "reference"),
+    ("validate-curve", "reference"),
+    ("validate-curve", "table"),
+    ("synthesize", "table"),
+], ids=["import", "validate-curve", "table-validate-curve", "table-synthesize"])
+def test_import_path_loads_neither_sympy_nor_scipy(tmp_path, command, curve):
     """A CLI process imports numpy only: sympy and scipy cost ~1 s of set-up."""
-    path = write_scenario(tmp_path, REFERENCE)
-    script = ("import sys\n" + command + "\n"
+    payload = write_table(tmp_path, np.linspace(0.0, 1.0, 401)) if curve == "table" else REFERENCE
+    path = write_scenario(tmp_path, payload)
+    run = "import geodrive.cli" if command == "import" else (
+        "from geodrive.cli import main\n"
+        f"if main(['{command}', '--scenario', sys.argv[1], '--out', 'out']) != 0:\n"
+        f"    sys.exit('{command} failed')")
+    script = ("import sys\n" + run + "\n"
               "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'scipy'))\n"
               "if loaded:\n"
               "    sys.exit(f'loaded {loaded}')\n")

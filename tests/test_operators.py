@@ -286,12 +286,14 @@ class TestRealCoordinates:
         y0, dissipator = KET_MINUS1, None
         if equation == "density":
             y0, dissipator = np.outer(KET_MINUS1, KET_MINUS1), 0.004 * _RELAXATION
-        # samples on knots add no steps: both calls step from knot to knot
-        times = np.union1d(sta.time[::7], sta.time[-1])
-        assert operators._step_grid(sta, times).size > 3 * operators._BLOCK
-        dense = operators._propagate(sta, y0, times, [0.2], dissipator)[0]
+        # samples on knots add no steps: both calls step from knot to knot; the
+        # strides fold 0, 1, 2 and 0 step pairs in the blocks of the dense call
         final = operators._propagate(sta, y0, sta.time_span, [0.2], dissipator)[0]
-        assert np.array_equal(dense[-1], final[-1])
+        assert operators._step_grid(sta, sta.time_span).size > 3 * operators._BLOCK
+        for stride in (1, 2, 4, 7):
+            times = np.union1d(sta.time[::stride], sta.time[-1])
+            dense = operators._propagate(sta, y0, times, [0.2], dissipator)[0]
+            assert np.array_equal(dense[-1], final[-1])
 
 
 def _at_one_norm(a, norm):

@@ -170,9 +170,8 @@ class TestSweep:
             assert trace <= 1e-12 and herm <= 1e-12 and min_eig >= -1e-8
 
     def test_wide_sweep_memory(self, stirap):
-        # 8.38 MB: the peak of the stepper that exponentiated 113 (step, delta)
-        # pairs per block in complex arithmetic; a build of every step's
-        # generators at once would hold 2 x 2800 x 101 of them
+        # 3 MB: the sweep keeps only each delta's final state (2.34 MB measured);
+        # a build of every step's generators at once would hold 2 x 2800 x 101 of them
         deltas = np.linspace(-0.8, 0.8, 101)
         sweep_delta(stirap, deltas[:2], gamma=0.003)  # the schedule's lazy interpolant
         tracemalloc.start()
@@ -181,7 +180,7 @@ class TestSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8.38e6
+        assert peak <= 3.0e6
         assert np.max(rows[:, 3]) <= 1e-13 and np.max(rows[:, 2]) == 0.0
 
     def test_empty_grid_rejected(self, sta):
