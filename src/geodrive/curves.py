@@ -11,11 +11,12 @@ and torsion are read off.
 from __future__ import annotations
 
 import ast
-import csv
+import dataclasses
 import functools
 import math
 import operator
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ import numpy as np
 from .numerics import CubicHermite, quintic_spline
 
 _GL_ORDER = 10
+#: Gauss-Legendre panels of the cumulative arc-length table
+_N_QUAD = 256
 
 
 class DegenerateCurveError(ValueError):
@@ -39,31 +42,17 @@ class CurveExpressionError(ValueError):
 
 @dataclass
 class ParametricCurve:
-    """Curve r(d) on d in [0, 1] with optional analytic derivatives.
+    """Curve r(d) on d in [0, 1].
 
-    ``position`` and the entries of ``derivatives`` map an (n,) parameter
-    array to an (n, 3) array of positions / d-derivatives.
+    ``derivatives(d, k)`` maps an (n,) parameter array d to [r, r', ..., r^(k)],
+    k <= 3, each an (n, 3) array; entry j has the same bits for every k >= j.
     """
 
-    position: callable
-    derivatives: tuple = ()
+    derivatives: callable
     name: str = "curve"
-    jet: callable = None  # d -> (r, r', r'', r''') from one evaluation, where the form has one
 
-    @property
-    def derivative_order(self) -> int:
-        return len(self.derivatives)
-
-    def derivative(self, order: int):
-        if order == 0:
-            return self.position
-        return self.derivatives[order - 1]
-
-    def validate(self, n_check: int = 10_000) -> None:
-        d = np.linspace(0.0, 1.0, n_check)
-        pts = self.position(d)
-        if not np.all(np.isfinite(pts)):
-            raise DegenerateCurveError(f"curve {self.name!r} produced non-finite samples")
+    def position(self, d):
+        return self.derivatives(np.atleast_1d(np.asarray(d, dtype=float)), 0)[0]
 
 
 _EXPRESSION_NAMES = {"sin", "cos", "pi", "d"}
@@ -206,16 +195,6 @@ def _parse_component(component, text):
         raise CurveExpressionError(component, str(exc)) from exc
 
 
-def _curve_from_jet(evaluate, name):
-    """A curve whose position, derivatives and jet all read evaluate(d, lo, hi),
-    the list of the d-derivatives of orders lo .. hi at the (n,) array d."""
-    def accessor(lo, hi, pick=operator.itemgetter(0)):
-        return lambda dv: pick(evaluate(np.atleast_1d(np.asarray(dv, dtype=float)), lo, hi))
-
-    return ParametricCurve(position=accessor(0, 0), name=name, jet=accessor(0, 3, tuple),
-                           derivatives=tuple(accessor(k, k) for k in (1, 2, 3)))
-
-
 def curve_from_expressions(x, y, z, name="expression-curve") -> ParametricCurve:
     """Curve from three expression strings in d (grammar: + - * / ^ sin cos pi d).
 
@@ -224,42 +203,53 @@ def curve_from_expressions(x, y, z, name="expression-curve") -> ParametricCurve:
     """
     exprs = [_parse_component(label, text) for label, text in zip("xyz", (x, y, z))]
 
-    def evaluate(dv, lo, hi):
-        memo = {}
-        rows = [_jet(expr, dv, hi, memo) for expr in exprs]
-        return [np.column_stack([np.broadcast_to(math.factorial(k) * row[k], dv.shape)
-                                 for row in rows]) for k in range(lo, hi + 1)]
+    def derivatives(dv, k):
+        memo, out = {}, np.empty((k + 1, np.size(dv), 3))
+        for i, expr in enumerate(exprs):
+            for j, row in enumerate(_jet(expr, dv, k, memo)):
+                out[j, :, i] = row
+        for j in range(2, k + 1):
+            out[j] *= math.factorial(j)
+        return out
 
-    return _curve_from_jet(evaluate, name)
+    return ParametricCurve(derivatives, name)
 
 
 def curve_from_table(d_values, points, name="table-curve") -> ParametricCurve:
     """Curve from a dense sample table; derivatives come from a quintic spline."""
     d_values = np.asarray(d_values, dtype=float)
     points = np.asarray(points, dtype=float)
-    if points.shape != (d_values.size, 3):
-        raise ValueError("table must have shape (n, 3)")
     if d_values.size < 8:
         raise ValueError("need at least 8 table rows")
+    if points.shape != (d_values.size, 3):
+        raise ValueError("table must have shape (n, 3)")
+    if not (np.all(np.isfinite(d_values)) and np.all(np.isfinite(points))):
+        raise ValueError("table values must be finite")
     if np.any(np.diff(d_values) <= 0):
         raise ValueError("table parameter column must be strictly increasing")
-    spline = quintic_spline(d_values, points)
-    return _curve_from_jet(lambda dv, lo, hi: spline(dv, hi)[lo:], name)
+    if d_values[0] != 0.0 or d_values[-1] != 1.0:
+        raise ValueError("table parameter column must run from exactly 0 to exactly 1")
+    return ParametricCurve(quintic_spline(d_values, points), name)
 
 
 def read_curve_table(path, name=None) -> ParametricCurve:
     """Read a CSV sample table with header ``d,x,y,z``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["d", "x", "y", "z"]:
+    with open(path) as fh:
+        header = [h.strip() for h in fh.readline().split(",")]
+        if header != ["d", "x", "y", "z"]:
             raise ValueError(f"{path}: expected header 'd,x,y,z', got {header}")
-        rows = np.array([[float(v) for v in row] for row in reader], dtype=float)
+        with warnings.catch_warnings():  # a table without rows fails the row count instead
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     return curve_from_table(rows[:, 0], rows[:, 1:], name=name or str(path))
 
 
-def curve_from_position(position, name="sampled-curve", h=1e-2) -> ParametricCurve:
-    """Numeric-derivative fallback for a bare position callable.
+#: base step of :func:`curve_from_position`; its third derivatives take twice this
+_FD_STEP = 1e-2
+
+
+def curve_from_position(position, name="sampled-curve") -> ParametricCurve:
+    """Finite-difference derivatives of a bare position callable.
 
     4th-order central differences with one Richardson extrapolation step.
     The base step is deliberately coarse: third derivatives from noisy
@@ -267,7 +257,6 @@ def curve_from_position(position, name="sampled-curve", h=1e-2) -> ParametricCur
     """
 
     def fd(order, dv, step):
-        dv = np.atleast_1d(np.asarray(dv, dtype=float))
         if order == 1:
             stencil = [(-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12)]
             scale = step
@@ -282,21 +271,17 @@ def curve_from_position(position, name="sampled-curve", h=1e-2) -> ParametricCur
             acc += weight * np.atleast_2d(position(dv + offset * step))
         return acc / scale
 
-    def make_deriv(order):
-        step = h if order < 3 else 2 * h
-
-        def evaluate(dv):
+    def derivatives(dv, k):
+        dv = np.atleast_1d(np.asarray(dv, dtype=float))
+        out = [np.atleast_2d(position(dv))]
+        for order in range(1, k + 1):
+            step = _FD_STEP if order < 3 else 2 * _FD_STEP
             coarse = fd(order, dv, step)
             fine = fd(order, dv, step / 2)
-            return (16.0 * fine - coarse) / 15.0
-        return evaluate
+            out.append((16.0 * fine - coarse) / 15.0)
+        return out
 
-    def wrap_pos(dv):
-        return np.atleast_2d(position(np.atleast_1d(np.asarray(dv, dtype=float))))
-
-    return ParametricCurve(position=wrap_pos,
-                           derivatives=tuple(make_deriv(k) for k in (1, 2, 3)),
-                           name=name)
+    return ParametricCurve(derivatives, name)
 
 
 @functools.lru_cache(maxsize=1)
@@ -331,7 +316,6 @@ class ArcLengthCurve:
     total_length: float
     jet: callable
     parameter_map: callable = None  # t -> original parameter d, when applicable
-    source: ParametricCurve = None
     name: str = "curve"
 
     def position(self, t):
@@ -347,30 +331,27 @@ class ArcLengthCurve:
         return self.jet(t)[3]
 
 
-def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
+def reparametrize_by_arclength(curve) -> ArcLengthCurve:
     """Transform r(d) into the unit-speed form r(t), t in [0, L].
 
-    Total length uses composite Gauss-Legendre quadrature over ``n_quad``
+    Total length uses composite Gauss-Legendre quadrature over ``_N_QUAD``
     panels; the inverse map d(t) is solved by bracketed Newton iteration on
     the cumulative-length table to |s(d) - t| <= 1e-12.  An
     :class:`ArcLengthCurve` is already unit speed and is returned unchanged.
     """
     if isinstance(curve, ArcLengthCurve):
         return curve
-    if n_quad < 64:
-        raise ValueError("n_quad must be at least 64")
-    if curve.derivative_order < 3:
-        curve = curve_from_position(curve.position, name=curve.name)
-    curve.validate()
+    if not np.all(np.isfinite(curve.position(np.linspace(0.0, 1.0, 10_000)))):
+        raise DegenerateCurveError(f"curve {curve.name!r} produced non-finite samples")
 
-    speed_of = lambda dv: np.linalg.norm(curve.derivative(1)(dv), axis=1)
+    speed_of = lambda dv: np.linalg.norm(curve.derivatives(dv, 1)[1], axis=1)
     nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-    edges = np.linspace(0.0, 1.0, n_quad + 1)
+    edges = np.linspace(0.0, 1.0, _N_QUAD + 1)
     lows, highs = edges[:-1], edges[1:]
     half = 0.5 * (highs - lows)
     mids = 0.5 * (highs + lows)
     quad_d = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    speeds = speed_of(quad_d).reshape(n_quad, _GL_ORDER)
+    speeds = speed_of(quad_d).reshape(_N_QUAD, _GL_ORDER)
     if not np.all(np.isfinite(speeds)):
         raise DegenerateCurveError(f"curve {curve.name!r} is not rectifiable")
     panel_lengths = (speeds * weights[None, :]).sum(axis=1) * half
@@ -381,7 +362,7 @@ def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
 
     def partial_length(d_points):
         # cumulative length s(d), evaluated with local Gauss-Legendre panels
-        idx = np.clip(np.searchsorted(edges, d_points, side="right") - 1, 0, n_quad - 1)
+        idx = np.clip(np.searchsorted(edges, d_points, side="right") - 1, 0, _N_QUAD - 1)
         lo = edges[idx]
         h2 = 0.5 * (d_points - lo)
         mid = 0.5 * (d_points + lo)
@@ -410,12 +391,10 @@ def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
             guess = np.where(open_, np.where(outside, 0.5 * (lo_b + hi_b), proposal), guess)
         return guess
 
-    jet = curve.jet or (lambda dv: tuple(curve.derivative(k)(dv) for k in range(4)))
-
     def chain(t_values):
         # one inversion d(t), one jet of r(d), then the chain rule for the t-derivatives
         dv = invert(t_values)
-        v0, v1, v2, v3 = jet(dv)
+        v0, v1, v2, v3 = curve.derivatives(dv, 3)
         speed = np.linalg.norm(v1, axis=1, keepdims=True)
         a = (v1 * v2).sum(axis=1, keepdims=True)
         b = (v2 * v2).sum(axis=1, keepdims=True) + (v1 * v3).sum(axis=1, keepdims=True)
@@ -429,7 +408,6 @@ def reparametrize_by_arclength(curve, n_quad: int = 256) -> ArcLengthCurve:
         total_length=total,
         jet=chain,
         parameter_map=invert,
-        source=curve,
         name=curve.name,
     )
 
@@ -469,8 +447,7 @@ class CurveGeometry:
         return int(np.count_nonzero(self.flags))
 
 
-def curvature_torsion(arc: ArcLengthCurve, n_samples: int = 2001,
-                      eps_kappa: float = EPS_KAPPA) -> CurveGeometry:
+def curvature_torsion(arc: ArcLengthCurve, n_samples: int = 2001) -> CurveGeometry:
     """Sample kappa(t) = |r''(t)| and tau(t) = (r' x r'').r''' / |r' x r''|^2."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -479,7 +456,7 @@ def curvature_torsion(arc: ArcLengthCurve, n_samples: int = 2001,
     kappa = np.linalg.norm(rddot, axis=1)
     cross = np.cross(rdot, rddot)
     denom = (cross**2).sum(axis=1)
-    flags = kappa < eps_kappa
+    flags = kappa < EPS_KAPPA
     tau = np.where(flags, 0.0,
                    (cross * rdddot).sum(axis=1) / np.where(flags, 1.0, denom))
     return CurveGeometry(time_grid=grid, curvature=kappa, torsion=tau,
@@ -503,15 +480,7 @@ class BoundaryReport:
         return self.closed and self.start_tangent_ok and self.end_tangent_ok
 
     def as_dict(self):
-        return {
-            "closed": self.closed,
-            "start_tangent_ok": self.start_tangent_ok,
-            "end_tangent_ok": self.end_tangent_ok,
-            "closure_residual": self.closure_residual,
-            "start_residual": self.start_residual,
-            "end_residual": self.end_residual,
-            "tol": self.tol,
-        }
+        return dataclasses.asdict(self)
 
 
 def check_boundary_conditions(arc: ArcLengthCurve, tol: float = 1e-6) -> BoundaryReport:
@@ -535,8 +504,8 @@ def check_boundary_conditions(arc: ArcLengthCurve, tol: float = 1e-6) -> Boundar
 
 def write_geometry_csv(geometry: CurveGeometry, path) -> None:
     """Geometry CSV with header ``t,kappa,tau,flag``."""
+    table = np.column_stack([geometry.time_grid, geometry.curvature, geometry.torsion,
+                             geometry.flags])
     with open(path, "w", newline="") as fh:
         fh.write("t,kappa,tau,flag\n")
-        for t, k, tau, flag in zip(geometry.time_grid, geometry.curvature,
-                                   geometry.torsion, geometry.flags):
-            fh.write(f"{t:.17g},{k:.17g},{tau:.17g},{int(flag)}\n")
+        fh.writelines("%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in table.tolist())

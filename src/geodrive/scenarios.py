@@ -88,9 +88,11 @@ def _load_curve(spec, base_dir, convention):
         raise ScenarioError("curve", f"unknown builtin curve {spec!r}")
     if isinstance(spec, dict):
         if "table" in spec:
-            path = Path(base_dir) / spec["table"]
+            table = spec["table"]
+            if not isinstance(table, str):
+                raise ScenarioError("curve.table", f"expected str, got {type(table).__name__}")
             try:
-                return curves.read_curve_table(path), f"table:{spec['table']}"
+                return curves.read_curve_table(Path(base_dir) / table), f"table:{table}"
             except (OSError, ValueError) as exc:
                 raise ScenarioError("curve.table", str(exc)) from exc
         if {"x", "y", "z"} <= set(spec):
@@ -203,7 +205,7 @@ def load_scenario(path, convention: str = ANGULAR) -> Scenario:
                     convention=convention)
 
 
-def geometric_pipeline(scenario: Scenario, n_samples: int = 2001, tol: float = 1e-6):
+def geometric_pipeline(scenario: Scenario, tol: float = 1e-6):
     """Curve -> arc-length form -> geometry -> schedule for a scenario.
 
     Returns (arc, geometry, boundary_report, schedule); the schedule is
@@ -211,7 +213,7 @@ def geometric_pipeline(scenario: Scenario, n_samples: int = 2001, tol: float = 1
     """
     arc = curves.reparametrize_by_arclength(scenario.curve)
     report = curves.check_boundary_conditions(arc, tol=tol)
-    geometry = curves.curvature_torsion(arc, n_samples=n_samples)
+    geometry = curves.curvature_torsion(arc)
     schedule = synthesize(geometry, mode=scenario.mode)
     if scenario.duration != NATURAL:
         schedule = schedule.rescaled(scenario.duration)

@@ -32,9 +32,22 @@ def _uniform(time):
 
 
 class _InterpolatedFields:
-    """Shared plumbing: one cached PCHIP interpolant over the stacked
-    ``_FIELDS`` columns, range-checked field values, and H(t) at one time
-    as the single-time case of the vectorized ``hamiltonians``."""
+    """Shared plumbing: the grid and field checks, one cached PCHIP
+    interpolant over the stacked ``_FIELDS`` columns, range-checked field
+    values, and H(t) at one time as the single-time case of the vectorized
+    ``hamiltonians``."""
+
+    def __post_init__(self):
+        self.time = np.asarray(self.time, dtype=float)
+        n = self.time.size
+        if n < MIN_GRID:
+            raise ValueError(f"schedule grid needs at least {MIN_GRID} points, got {n}")
+        _uniform(self.time)
+        for name in self._FIELDS:
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != (n,):
+                raise ValueError(f"{name} must match the time grid")
+            setattr(self, name, arr)
 
     def values(self, t):
         """Field values at t, one per entry of ``_FIELDS``; raises outside the grid."""
@@ -80,17 +93,7 @@ class ControlSchedule(_InterpolatedFields):
     _FIELDS = ("omega", "delta", "phi")
 
     def __post_init__(self):
-        self.time = np.asarray(self.time, dtype=float)
-        self.omega = np.asarray(self.omega, dtype=float)
-        self.delta = np.asarray(self.delta, dtype=float)
-        self.phi = np.asarray(self.phi, dtype=float)
-        n = self.time.size
-        if n < MIN_GRID:
-            raise ValueError(f"schedule grid needs at least {MIN_GRID} points, got {n}")
-        _uniform(self.time)
-        for name in self._FIELDS:
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must match the time grid")
+        super().__post_init__()
         if np.min(self.omega) < -1e-12:
             raise ValueError("omega must be non-negative")
         self.omega = np.maximum(self.omega, 0.0)
@@ -146,16 +149,7 @@ class TwoToneSchedule(_InterpolatedFields):
                "pump_phi", "stokes_phi")
 
     def __post_init__(self):
-        self.time = np.asarray(self.time, dtype=float)
-        n = self.time.size
-        if n < MIN_GRID:
-            raise ValueError(f"schedule grid needs at least {MIN_GRID} points, got {n}")
-        _uniform(self.time)
-        for name in self._FIELDS:
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must match the time grid")
-            setattr(self, name, arr)
+        super().__post_init__()
         if min(np.min(self.pump_omega), np.min(self.stokes_omega)) < -1e-12:
             raise ValueError("envelopes must be non-negative")
 
@@ -256,9 +250,9 @@ def noise_term(schedule) -> float:
     return end_distance(reconstruct_curve(schedule))
 
 
-def _initial_normal(arc, n_probe=7):
+def _initial_normal(arc):
     """First well-defined unit normal of an arc-length curve."""
-    probes = np.linspace(0.0, arc.total_length * 1e-3, n_probe)
+    probes = np.linspace(0.0, arc.total_length * 1e-3, 7)
     seconds = arc.second_derivative(probes)
     norms = np.linalg.norm(seconds, axis=1)
     for vec, mag in zip(seconds, norms):
@@ -300,11 +294,11 @@ def write_schedule_csv(schedule, path, sidecar_path=None, provenance=None):
     records which one was written.
     """
     two_tone = isinstance(schedule, TwoToneSchedule)
+    table = np.column_stack([schedule.time] + [getattr(schedule, f) for f in schedule._FIELDS])
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(("t",) + schedule._FIELDS) + "\n")
-        cols = [schedule.time] + [getattr(schedule, f) for f in schedule._FIELDS]
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(row_format % tuple(row) for row in table.tolist())
     if sidecar_path is not None:
         meta = {
             "layout": "two-tone" if two_tone else "common-envelope",

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ import pytest
 
 from geodrive import cli
 from geodrive.cli import main
-from geodrive.curves import curve_from_expressions
+from geodrive.curves import CurveGeometry, curve_from_expressions, write_geometry_csv
 from geodrive.operators import IntegrationFailure
 from geodrive.scenarios import ScenarioError, load_scenario
+from geodrive.schedules import write_schedule_csv
 from geodrive.simulate import NoiseModel, run_lindblad
 from test_curves import REFERENCE_EXPRESSIONS
 
@@ -33,12 +35,35 @@ def write_scenario(tmp_path, payload, name="scenario.json"):
     return path
 
 
-def write_table(tmp_path, d, name="curve.csv"):
-    """A d,x,y,z table of the reference curve at the parameters d."""
-    rows = np.column_stack([d, curve_from_expressions(*REFERENCE_EXPRESSIONS).position(d)])
+def reference_rows(d):
+    """The d,x,y,z rows of the reference curve at the parameters d."""
+    return np.column_stack([d, curve_from_expressions(*REFERENCE_EXPRESSIONS).position(d)])
+
+
+def write_rows(tmp_path, rows, name="curve.csv"):
+    """A scenario whose curve is the d,x,y,z table ``rows``."""
     np.savetxt(tmp_path / name, rows, fmt="%.17g", delimiter=",", header="d,x,y,z",
                comments="")
     return {**REFERENCE, "curve": {"table": name}}
+
+
+def write_table(tmp_path, d, name="curve.csv"):
+    """A d,x,y,z table of the reference curve at the parameters d."""
+    return write_rows(tmp_path, reference_rows(d), name)
+
+
+def write_text_table(text):
+    """A scenario writer whose curve table file holds ``text``."""
+    def write(tmp_path):
+        (tmp_path / "curve.csv").write_text(text)
+        return {**REFERENCE, "curve": {"table": "curve.csv"}}
+    return write
+
+
+def write_nan_table(tmp_path):
+    rows = reference_rows(np.linspace(0.0, 1.0, 20))
+    rows[9, 1] = np.nan
+    return write_rows(tmp_path, rows)
 
 
 def read_csv(path):
@@ -154,12 +179,21 @@ class TestValidateCurveCommand:
         assert expression == builtin
         assert curve_from_expressions("2^(1/2)*d", "0", "d").position(1.0)[0, 0] == np.sqrt(2.0)
 
-    @pytest.mark.parametrize("d, reason", [
-        (np.linspace(0.0, 1.0, 7), "at least 8 table rows"),
-        (np.linspace(0.0, 1.0, 20)[[0, 1, 2, 4, 3, *range(5, 20)]], "strictly increasing"),
-    ], ids=["seven-rows", "non-increasing"])
-    def test_bad_table_is_input_error(self, tmp_path, capsys, d, reason):
-        payload = write_table(tmp_path, d)
+    @pytest.mark.parametrize("write, reason", [
+        (lambda p: write_table(p, np.linspace(0.0, 1.0, 7)), "at least 8 table rows"),
+        (lambda p: write_table(p, np.linspace(0.0, 1.0, 20)[[0, 1, 2, 4, 3, *range(5, 20)]]),
+         "strictly increasing"),
+        (write_text_table("d,x,y,z\n"), "at least 8 table rows"),
+        (write_text_table(""), "expected header 'd,x,y,z'"),
+        (lambda p: {**REFERENCE, "curve": {"table": 5}}, "expected str, got int"),
+        (write_nan_table, "must be finite"),
+        # the reference curve sampled past d = 1 and short of it: cut or extrapolated
+        (lambda p: write_table(p, np.linspace(0.0, 2.0, 401)), "from exactly 0 to exactly 1"),
+        (lambda p: write_table(p, np.linspace(0.0, 0.5, 401)), "from exactly 0 to exactly 1"),
+    ], ids=["seven-rows", "non-increasing", "header-only", "empty-file", "not-a-string",
+            "nan-value", "d-to-2", "d-to-half"])
+    def test_bad_table_is_input_error(self, tmp_path, capsys, write, reason):
+        payload = write(tmp_path)
         code = main(["validate-curve", "--scenario", str(write_scenario(tmp_path, payload))])
         err = capsys.readouterr().err
         assert code == 2
@@ -257,17 +291,57 @@ def _per_value_populations_csv(path, result):
             fh.write(",".join(format(float(v) + 0.0, ".17g") for v in (t, *row)) + "\n")
 
 
+#: values whose text is easy to get wrong: signed zero, tiny, huge, round
+AWKWARD_VALUES = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e300, 1.0, 0.1, 1 / 3, -2.5,
+                  123456789.0, 1e-5, -0.0, 2.0**-1074, 0.5, 1e16, 1e17, 1 - 1e-16,
+                  7e-8, 3.0, -1.0, 0.25, 1e22, -0.0]
+
+
 def test_population_csv_matches_per_value_writer(tmp_path, sta):
     result = run_lindblad(sta, NoiseModel(delta=0.3, gamma=0.002), n_samples=201)
     populations = result.populations.copy()
-    # values whose text is easy to get wrong: signed zero, tiny, huge, round
-    populations[:8] = np.reshape([-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e300,
-                                         1.0, 0.1, 1 / 3, -2.5, 123456789.0, 1e-5,
-                                         -0.0, 2.0**-1074, 0.5, 1e16, 1e17, 1 - 1e-16,
-                                         7e-8, 3.0, -1.0, 0.25, 1e22, -0.0], (8, 3))
+    populations[:8] = np.reshape(AWKWARD_VALUES, (8, 3))
     result = replace(result, populations=populations)
     cli._write_populations_csv(tmp_path / "new.csv", result)
     _per_value_populations_csv(tmp_path / "old.csv", result)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _per_value_geometry_csv(geometry, path):
+    """The geometry writer as it was: one f-string per row, keeping -0."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,kappa,tau,flag\n")
+        for t, k, tau, flag in zip(geometry.time_grid, geometry.curvature,
+                                   geometry.torsion, geometry.flags):
+            fh.write(f"{t:.17g},{k:.17g},{tau:.17g},{int(flag)}\n")
+
+
+def _per_value_schedule_csv(schedule, path):
+    """The schedule writer as it was: one ``f"{v:.17g}"`` per value, keeping -0."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(("t",) + schedule._FIELDS) + "\n")
+        cols = [schedule.time] + [getattr(schedule, f) for f in schedule._FIELDS]
+        for row in zip(*cols):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+@pytest.mark.parametrize("kind", ["geometry", "schedule", "two-tone-schedule"])
+def test_geometry_and_schedule_csv_match_per_value_writer(tmp_path, sta, srt, kind):
+    """``synthesize`` writes both files; their bytes must not move, -0 included."""
+    if kind == "geometry":
+        value = CurveGeometry(*np.zeros((3, 101)), flags=np.arange(101) % 3 == 0)
+        names = ("time_grid", "curvature", "torsion")
+        write, old = write_geometry_csv, _per_value_geometry_csv
+    else:
+        value = copy.copy(sta if kind == "schedule" else srt)
+        names = ("time",) + value._FIELDS
+        write, old = write_schedule_csv, _per_value_schedule_csv
+    table = np.random.default_rng(5).normal(size=(getattr(value, names[0]).size, len(names)))
+    table.ravel()[:24] = AWKWARD_VALUES
+    for name, column in zip(names, table.T):
+        setattr(value, name, column)
+    write(value, tmp_path / "new.csv")
+    old(value, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -359,11 +433,16 @@ class TestSweepCommand:
 
 class TestReruns:
     @pytest.mark.parametrize("command, report", [("run", "manifest.json"),
-                                                 ("sweep", "sweep_report.json")])
+                                                 ("sweep", "sweep_report.json"),
+                                                 ("synthesize", "schedule.json")],
+                             ids=["run-manifest.json", "sweep-sweep_report.json",
+                                  "synthesize-table"])
     def test_byte_identical_and_one_solver_key(self, tmp_path, capsys, command, report):
         payload = {**REFERENCE, "scheme": "all",
                    "sweep": {"start": -0.2, "stop": 0.2, "count": 3,
                              "scaling": {"lo": 0.02, "hi": 0.1, "n": 5}}}
+        if command == "synthesize":
+            payload = write_table(tmp_path, np.linspace(0.0, 1.0, 401))
         path = write_scenario(tmp_path, payload)
         outputs = []
         for out in (tmp_path / "first", tmp_path / "second"):

@@ -73,25 +73,24 @@ class TestReparametrization:
         # the 2001-point grid of curvature_torsion; residuals against an
         # independent 20-point Gauss-Legendre quadrature between the roots
         reference = reference_curve()
-        speed_calls = []
+        orders = []
 
-        def counted(dv, first=reference.derivatives[0]):
-            speed_calls.append(np.size(dv))
-            return first(dv)
+        def counted(dv, k):
+            orders.append(k)
+            return reference.derivatives(dv, k)
 
-        curve = ParametricCurve(position=reference.position, name="reference",
-                                derivatives=(counted,) + reference.derivatives[1:])
-        arc = reparametrize_by_arclength(curve)
+        arc = reparametrize_by_arclength(ParametricCurve(counted, "reference"))
         grid = np.linspace(0.0, arc.total_length, 2001)
-        speed_calls.clear()
+        orders.clear()
         roots = arc.parameter_map(grid)
-        # one speed evaluation for each residual and one for each Newton step
-        newton_steps = len(speed_calls) // 2
+        # speeds only: one evaluation for each residual and one for each Newton step
+        assert set(orders) == {1}
+        newton_steps = len(orders) // 2
         assert newton_steps <= 5  # 43 when converged points were bisected away
         nodes, weights = np.polynomial.legendre.leggauss(20)
         lo, hi = np.concatenate([[0.0], roots[:-1]]), roots
         points = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * nodes
-        speeds = np.linalg.norm(reference.derivatives[0](points.ravel()), axis=1)
+        speeds = np.linalg.norm(reference.derivatives(points.ravel(), 1)[1], axis=1)
         lengths = np.cumsum((speeds.reshape(-1, 20) * weights).sum(axis=1) * 0.5 * (hi - lo))
         assert np.max(np.abs(lengths - grid)) <= 1e-12
 
@@ -109,10 +108,6 @@ class TestReparametrization:
 
         with pytest.raises(DegenerateCurveError):
             reparametrize_by_arclength(curve_from_position(bad))
-
-    def test_small_n_quad_rejected(self):
-        with pytest.raises(ValueError):
-            reparametrize_by_arclength(circle_curve(), n_quad=8)
 
 
 class TestGeometry:
@@ -200,22 +195,21 @@ class TestJet:
             assert np.array_equal(value, accessor(grid))
 
     def test_one_inversion_per_geometry_call(self):
-        # the third d-derivative of the source is evaluated once per jet
+        # the source's order-3 evaluator is called once per jet
         base = helix_curve()
         calls = []
 
-        def third(dv):
-            calls.append(np.size(dv))
-            return base.derivatives[2](dv)
+        def counted(dv, k):
+            calls.append((k, np.size(dv)))
+            return base.derivatives(dv, k)
 
-        arc = reparametrize_by_arclength(
-            ParametricCurve(base.position, base.derivatives[:2] + (third,), name="counted"))
+        arc = reparametrize_by_arclength(ParametricCurve(counted, "counted"))
         calls.clear()
         curvature_torsion(arc, n_samples=101)
-        assert calls == [101]
+        assert [n for k, n in calls if k == 3] == [101]
         calls.clear()
         check_boundary_conditions(arc)
-        assert calls == [2]
+        assert [n for k, n in calls if k == 3] == [2]
 
 
 class TestBoundaryConditions:
@@ -332,10 +326,11 @@ def test_jet_derivatives_match_sympy(expressions):
     d = sp.Symbol("d")
     vec = sp.Matrix([sp.sympify(text.replace("^", "**")) for text in expressions])
     x = np.linspace(0.0, 1.0, 2001)
+    jet = curve.derivatives(x, 3)
     for order in range(4):
         expected = np.stack([np.broadcast_to(sp.lambdify(d, comp, modules="numpy")(x), x.shape)
                              for comp in vec], axis=1)
-        error = np.max(np.abs(curve.derivative(order)(x) - expected))
+        error = np.max(np.abs(jet[order] - expected))
         assert error <= 1e-13 * np.max(np.abs(expected)), order
         vec = vec.diff(d)
 
@@ -343,8 +338,26 @@ def test_jet_derivatives_match_sympy(expressions):
 def test_reference_curve_is_its_expressions():
     d = np.linspace(0.0, 1.0, 101)
     fresh = curve_from_expressions(*REFERENCE_EXPRESSIONS)
-    for order in range(4):
-        assert np.array_equal(reference_curve().derivative(order)(d), fresh.derivative(order)(d))
+    assert np.array_equal(reference_curve().derivatives(d, 3), fresh.derivatives(d, 3))
+
+
+@pytest.mark.parametrize("kind", ["expression", "table", "finite-difference"])
+def test_each_order_has_the_same_bits_at_every_k(kind):
+    """derivatives(d, k)[j] does not depend on k >= j, so the speeds of the
+    arc-length inversion and the r' of its chain rule are the same bits."""
+    rows = np.linspace(0.0, 1.0, 401)
+    curve = {"expression": reference_curve,
+             "table": lambda: curve_from_table(rows, reference_curve().position(rows)),
+             "finite-difference": lambda: curve_from_position(reference_curve().position),
+             }[kind]()
+    d = np.linspace(0.0, 1.0, 1001)
+    full = curve.derivatives(d, 3)
+    for k in range(4):
+        jet = curve.derivatives(d, k)
+        assert len(jet) == k + 1
+        for j in range(k + 1):
+            assert jet[j].shape == (d.size, 3)
+            assert jet[j].tobytes() == full[j].tobytes(), (k, j)
 
 
 @pytest.mark.parametrize("text, value", [
