@@ -52,8 +52,8 @@ _DENSITY_LIFT = _real_lift(_HERMITIAN_BASIS.reshape(9, 9).T,
 #: Gauss-Legendre nodes of a step [t, t + h] sit at mid -+ _GAUSS_OFFSET h
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _MAGNUS_C = np.sqrt(3.0) / 12.0
-_BLOCK = 64  # steps per prefix product; fixed in steps, so batch members round as singles
-_ENTRIES = 2**14  # generator entries per build: deltas go in chunks; bounds the temporaries
+_BLOCK = 64  # steps per prefix product: fixes the association, so batch members round as singles
+_ENTRIES = 2**14  # generator entries, steps x deltas x n^2, per build: bounds the temporaries
 _TAYLOR = 1.0 / np.cumprod([1.0, *range(1, 13)])  # 1/k!, k = 0..12, for _expm
 
 
@@ -145,19 +145,27 @@ def _expm(a):
 
     Each matrix is scaled by its own power of two to 1-norm <= 1/4, where the
     truncation error is below 3e-18, so a result never depends on its batch
-    neighbours.  The polynomial is evaluated Paterson-Stockmeyer style, from
-    a^2, a^3, a^4 and two Horner products in a^4: five matmuls in all.
+    neighbours.  n max|a_ij| bounds every 1-norm: when it is below 1/4 for the
+    whole stack, no matrix scales, and the per-matrix norms are skipped.  The
+    polynomial is evaluated Paterson-Stockmeyer style, from a^2, a^3, a^4 and
+    two Horner products in a^4: five matmuls in all.  Each Horner stage runs in
+    place, with the identity term added on the diagonal.
     """
-    squarings = np.maximum(np.frexp(4.0 * np.abs(a).sum(axis=-2).max(axis=-1))[1], 0)
-    a = a * np.ldexp(1.0, -squarings)[..., None, None]
+    n, squarings = a.shape[-1], 0
+    if n * np.abs(a).max(initial=0.0) >= 0.25 * (1 - 2**-40):  # margin for the sums' rounding
+        squarings = np.maximum(np.frexp(4.0 * np.abs(a).sum(axis=-2).max(axis=-1))[1], 0)
+        a = a * np.ldexp(1.0, -squarings)[..., None, None]
     a2 = a @ a
     a3, a4 = a2 @ a, a2 @ a2
-    eye = np.eye(a.shape[-1])
     c = _TAYLOR  # terms summed smallest first, so the identity's rounding comes once
-    tail = c[12] * a4 + c[11] * a3 + c[10] * a2 + c[9] * a + c[8] * eye
-    tail = a4 @ tail + c[7] * a3 + c[6] * a2 + c[5] * a + c[4] * eye
-    out = a4 @ tail + c[3] * a3 + c[2] * a2 + a + eye
-    for i in range(squarings.max(initial=0)):
+    out, scratch = c[12] * a4, np.empty_like(a4)
+    for k in (8, 4, 0):  # out = a4 out + c[k+3] a3 + c[k+2] a2 + c[k+1] a + c[k] I
+        if k < 8:
+            out, scratch = np.matmul(a4, out, out=scratch), out
+        for power, coefficient in ((a3, c[k + 3]), (a2, c[k + 2]), (a, c[k + 1])):
+            out += np.multiply(power, coefficient, out=scratch)
+        out.reshape(out.shape[:-2] + (n * n,))[..., ::n + 1] += c[k]
+    for i in range(np.max(squarings, initial=0)):
         more = squarings > i
         out[more] = out[more] @ out[more]
     return out
@@ -172,10 +180,14 @@ def _propagate(schedule, y0, times, deltas, dissipator=None, grid=None):
     where the generator R is real.  One fourth-order Magnus step per interval of
     :func:`_step_grid`, so each step lies in one PCHIP piece, where H(t) is smooth
     (it is C1 at knots).  With R1, R2 at the two Gauss nodes, a step h is exp(A),
-    A = h/2 (R1 + R2) + sqrt(3)/12 h^2 [R2, R1], by :func:`_expm`; each block of
-    steps is a doubling prefix product, after folding step pairs while every
-    sample in the block falls on a pair boundary: the same association, so
-    the same bits, with fewer products.  The result,
+    A = h/2 (R1 + R2) + sqrt(3)/12 h^2 [R2, R1], by :func:`_expm`.  Each block of
+    _BLOCK steps is a doubling prefix product, after folding step pairs while
+    every sample in the block falls on a pair boundary: the same association,
+    so the same bits, with fewer products.  A build runs consecutive blocks
+    through each numpy call, folded as often as all of them allow: the scan's
+    entry (i + 1) 2^f - 1 already holds the product of f folds, so each block
+    keeps its bits.  A short loop then carries the state from block to block,
+    and only the sample rows are applied to it and stored.  The result,
     (len(deltas), len(times)) + y0.shape, is never renormalized.  A caller that
     needs the step count passes ``grid = _step_grid(schedule, times)`` itself.
     """
@@ -197,23 +209,35 @@ def _propagate(schedule, y0, times, deltas, dissipator=None, grid=None):
     rows = np.searchsorted(grid, times)
     samples = np.empty((len(offset), times.size) + start.shape, dtype=complex)
     samples[:, 0] = start
-    for lo in range(0, dt.size, _BLOCK):
-        h = dt[lo:lo + _BLOCK, None, None, None]
-        base = (hams[:, lo:lo + _BLOCK] @ lift).reshape(2, -1, 1, n, n)
-        taken = np.flatnonzero((rows > lo) & (rows <= lo + _BLOCK))
-        ends = rows[taken] - lo  # steps up to each sample in the block
-        every = len(h) | int(np.bitwise_or.reduce(ends, initial=0))
-        fold = (every & -every).bit_length() - 1  # 2^fold divides every end and len(h)
-        for d in range(0, len(offset), chunk := max(1, _ENTRIES // (_BLOCK * n * n))):
+    chunk = max(1, _ENTRIES // (_BLOCK * n * n))  # deltas per build
+    per_build = max(1, chunk // max(1, len(offset)))  # blocks per build
+    full = dt.size - dt.size % _BLOCK  # then the partial last block is a build of its own
+    cuts = sorted({*range(0, full, per_build * _BLOCK), full, dt.size})
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        size = min(_BLOCK, hi - lo)
+        h = dt[lo:hi].reshape(-1, size, 1, 1, 1)
+        base = (hams[:, lo:hi].reshape(2, -1, size, 18) @ lift).reshape(2, -1, size, 1, n, n)
+        taken = np.flatnonzero((rows > lo) & (rows <= hi))
+        block, ends = np.divmod(rows[taken] - lo - 1, size)
+        ends += 1  # steps into its block up to each sample
+        every = size | int(np.bitwise_or.reduce(ends, initial=0))
+        fold = (every & -every).bit_length() - 1  # 2^fold divides every end and size
+        for d in range(0, len(offset), chunk):
             r1, r2 = base + offset[d:d + chunk]
-            p = _expm(0.5 * h * (r1 + r2) + _MAGNUS_C * h**2 * (r2 @ r1 - r1 @ r2))
+            a = 0.5 * h * (r1 + r2) + _MAGNUS_C * h**2 * (r2 @ r1 - r1 @ r2)
+            del r1, r2  # free the generators before the exponential's temporaries
+            p = _expm(a)
             for _ in range(fold):  # pair the steps as the scan's first round would
-                p = p[1::2] @ p[::2]
-            for k in 2 ** np.arange(_BLOCK.bit_length() - 1 - fold):  # p[j] = steps 0 .. j
-                p[k:] = p[k:] @ p[:-k]
-            p = p @ state[d:d + chunk]
-            state[d:d + chunk] = p[-1]
-            samples[d:d + chunk, taken] = (embed @ p[(ends >> fold) - 1]).swapaxes(0, 1)
+                p = p[:, 1::2] @ p[:, ::2]
+            for k in 2 ** np.arange(_BLOCK.bit_length() - 1 - fold):  # p[:, j] = steps 0 .. j
+                p[:, k:] = p[:, k:] @ p[:, :-k]
+            starts = np.empty((len(p) + 1,) + state[d:d + chunk].shape)  # each block's start
+            starts[0] = state[d:d + chunk]
+            for j in range(len(p)):
+                np.matmul(p[j, -1], starts[j], out=starts[j + 1])
+            state[d:d + chunk] = starts[-1]
+            reached = p[block, (ends >> fold) - 1] @ starts[block]
+            samples[d:d + chunk, taken] = (embed @ reached).swapaxes(0, 1)
     return samples.reshape(samples.shape[:2] + np.shape(y0))
 
 

@@ -113,3 +113,64 @@ def _dop853_oracle(schedule, deltas, gamma=None, times=None):
         y0, shape = np.tile(np.outer(KET_MINUS1, KET_MINUS1).ravel(), len(deltas)), (3, 3)
     sol = operators._integrate(rhs, y0, t0, t1, 1e-13, 1e-15, t_eval=times)
     return sol.y.T.reshape((len(times), len(deltas)) + shape).swapaxes(0, 1)
+
+
+@pytest.fixture(scope="session")
+def block_reference():
+    return _block_reference
+
+
+def _per_matrix_expm(a):
+    """operators._expm with each matrix's own 1-norm and the polynomial in
+    expression form: the arithmetic that its whole-stack bound and in-place
+    Horner stages must keep, bit for bit."""
+    squarings = np.maximum(np.frexp(4.0 * np.abs(a).sum(axis=-2).max(axis=-1))[1], 0)
+    a = a * np.ldexp(1.0, -squarings)[..., None, None]
+    a2 = a @ a
+    a3, a4 = a2 @ a, a2 @ a2
+    eye, c = np.eye(a.shape[-1]), operators._TAYLOR
+    tail = c[12] * a4 + c[11] * a3 + c[10] * a2 + c[9] * a + c[8] * eye
+    tail = a4 @ tail + c[7] * a3 + c[6] * a2 + c[5] * a + c[4] * eye
+    out = a4 @ tail + c[3] * a3 + c[2] * a2 + a + eye
+    for i in range(squarings.max(initial=0)):
+        more = squarings > i
+        out[more] = out[more] @ out[more]
+    return out
+
+
+def _block_reference(schedule, y0, times, deltas, dissipator=None):
+    """operators._propagate one block of _BLOCK steps at a time, all deltas at
+    once, with _per_matrix_expm: the association and the arithmetic that its
+    grouped builds must keep, bit for bit."""
+    ops, times = operators, np.asarray(times, dtype=float)
+    grid = ops._step_grid(schedule, times)
+    dt = np.diff(grid)
+    nodes = 0.5 * (grid[1:] + grid[:-1]) + np.multiply.outer([-ops._GAUSS_OFFSET, ops._GAUSS_OFFSET], dt)
+    hams = np.ascontiguousarray(schedule.hamiltonians(nodes.ravel()), complex)
+    hams = hams.view(float).reshape(2, -1, 18)
+    embed, lift = ops._KET_LIFT if dissipator is None else ops._DENSITY_LIFT
+    n = embed.shape[1]
+    fixed = 0.0 if dissipator is None else (embed.conj().T @ dissipator @ embed).real
+    offset = np.multiply.outer(deltas, (K_Z.view(float).ravel() @ lift).reshape(n, n)) + fixed
+    start = np.reshape(y0, (embed.shape[0], -1))
+    state = np.repeat((embed.conj().T @ start).real[None], len(offset), axis=0)
+    rows = np.searchsorted(grid, times)
+    samples = np.empty((len(offset), times.size) + start.shape, dtype=complex)
+    samples[:, 0] = start
+    for lo in range(0, dt.size, ops._BLOCK):
+        h = dt[lo:lo + ops._BLOCK, None, None, None]
+        base = (hams[:, lo:lo + ops._BLOCK] @ lift).reshape(2, -1, 1, n, n)
+        r1, r2 = base + offset
+        p = _per_matrix_expm(0.5 * h * (r1 + r2) + ops._MAGNUS_C * h**2 * (r2 @ r1 - r1 @ r2))
+        taken = np.flatnonzero((rows > lo) & (rows <= lo + ops._BLOCK))
+        ends = rows[taken] - lo
+        every = len(h) | int(np.bitwise_or.reduce(ends, initial=0))
+        fold = (every & -every).bit_length() - 1
+        for _ in range(fold):
+            p = p[1::2] @ p[::2]
+        for k in 2 ** np.arange(ops._BLOCK.bit_length() - 1 - fold):
+            p[k:] = p[k:] @ p[:-k]
+        p = p @ state
+        state = p[-1]
+        samples[:, taken] = (embed @ p[(ends >> fold) - 1]).swapaxes(0, 1)
+    return samples.reshape(samples.shape[:2] + np.shape(y0))

@@ -183,6 +183,20 @@ class TestSweep:
         assert peak <= 3.0e6
         assert np.max(rows[:, 3]) <= 1e-13 and np.max(rows[:, 2]) == 0.0
 
+    def test_dense_lindblad_memory(self, stirap):
+        # 3 MB: 2.6 MB measured for 1001 samples over 3600 steps with three 64-step
+        # blocks per build (2.0 MB with one)
+        noise = NoiseModel(delta=0.3, gamma=0.003)
+        run_lindblad(stirap, noise, n_samples=11)  # the schedule's lazy interpolant
+        tracemalloc.start()
+        try:
+            result = run_lindblad(stirap, noise, n_samples=1001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0e6
+        assert result.trace_defect <= 1e-12
+
     def test_empty_grid_rejected(self, sta):
         with pytest.raises(ValueError):
             sweep_delta(sta, [])
