@@ -21,11 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CubicHermite, quintic_spline
+from .numerics import CubicHermite, PiecewisePolynomial, quintic_spline
 
 _GL_ORDER = 10
 #: Gauss-Legendre panels of the cumulative arc-length table
 _N_QUAD = 256
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+#: (11, 10): a panel's node speeds to the coefficients, highest power of d - lo
+#: first, of the integral from its left edge of their degree-9 interpolant; row k
+#: of the inverse Vandermonde matrix is the interpolant's coefficient of (N (d - lo))^k
+_PANEL_INTEGRAL = (np.polynomial.polynomial.polyint(
+    np.linalg.inv(np.vander(0.5 * (1.0 + _NODES), increasing=True)))
+    * float(_N_QUAD) ** (np.arange(_GL_ORDER + 1) - 1)[:, None])[::-1]
 
 
 class DegenerateCurveError(ValueError):
@@ -335,60 +342,49 @@ def reparametrize_by_arclength(curve) -> ArcLengthCurve:
     """Transform r(d) into the unit-speed form r(t), t in [0, L].
 
     Total length uses composite Gauss-Legendre quadrature over ``_N_QUAD``
-    panels; the inverse map d(t) is solved by bracketed Newton iteration on
-    the cumulative-length table to |s(d) - t| <= 1e-12.  An
-    :class:`ArcLengthCurve` is already unit speed and is returned unchanged.
+    panels.  The same speed samples give s(d) on each panel as the integral of
+    their degree-9 interpolant, one piecewise polynomial; the inverse map d(t)
+    is Newton's iteration on it, clipped to the panel that holds t, to
+    |s(d) - t| <= 1e-13 L, with no further curve evaluation.  The jet raises
+    :class:`DegenerateCurveError` at a sample where the speed is exactly 0.
+    An :class:`ArcLengthCurve` is already unit speed and is returned unchanged.
     """
     if isinstance(curve, ArcLengthCurve):
         return curve
     if not np.all(np.isfinite(curve.position(np.linspace(0.0, 1.0, 10_000)))):
         raise DegenerateCurveError(f"curve {curve.name!r} produced non-finite samples")
 
-    speed_of = lambda dv: np.linalg.norm(curve.derivatives(dv, 1)[1], axis=1)
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     edges = np.linspace(0.0, 1.0, _N_QUAD + 1)
-    lows, highs = edges[:-1], edges[1:]
-    half = 0.5 * (highs - lows)
-    mids = 0.5 * (highs + lows)
-    quad_d = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    speeds = speed_of(quad_d).reshape(_N_QUAD, _GL_ORDER)
+    half = 0.5 / _N_QUAD
+    quad_d = ((edges[:-1] + half)[:, None] + half * _NODES).ravel()
+    speeds = np.linalg.norm(curve.derivatives(quad_d, 1)[1], axis=1).reshape(_N_QUAD, _GL_ORDER)
     if not np.all(np.isfinite(speeds)):
         raise DegenerateCurveError(f"curve {curve.name!r} is not rectifiable")
-    panel_lengths = (speeds * weights[None, :]).sum(axis=1) * half
-    cumulative = np.concatenate([[0.0], np.cumsum(panel_lengths)])
+    cumulative = np.concatenate([[0.0], np.cumsum((speeds * _WEIGHTS).sum(axis=1) * half)])
     total = float(cumulative[-1])
     if not np.isfinite(total) or total < 1e-12:
         raise DegenerateCurveError(f"curve {curve.name!r} has zero arc length")
 
-    def partial_length(d_points):
-        # cumulative length s(d), evaluated with local Gauss-Legendre panels
-        idx = np.clip(np.searchsorted(edges, d_points, side="right") - 1, 0, _N_QUAD - 1)
-        lo = edges[idx]
-        h2 = 0.5 * (d_points - lo)
-        mid = 0.5 * (d_points + lo)
-        local = (mid[:, None] + h2[:, None] * nodes[None, :]).ravel()
-        sp_local = speed_of(local).reshape(-1, _GL_ORDER)
-        return cumulative[idx] + (sp_local * weights[None, :]).sum(axis=1) * h2
+    coeffs = _PANEL_INTEGRAL @ speeds.T
+    coeffs[-1] = cumulative[:-1]
+    length = PiecewisePolynomial(edges, coeffs[:, None, :])
 
     def invert(t_values):
         t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
         if np.any(t_values < -1e-9) or np.any(t_values > total + 1e-9):
             raise ValueError("arc-length parameter outside [0, L]")
         t_clip = np.clip(t_values, 0.0, total)
-        guess = np.clip(np.interp(t_clip, cumulative, edges), 0.0, 1.0)
-        lo_b = np.zeros_like(guess)
-        hi_b = np.ones_like(guess)
-        for _ in range(100):
-            residual = partial_length(guess) - t_clip
-            open_ = np.abs(residual) > 1e-12  # converged points stay where they are
+        panel = np.minimum(np.searchsorted(cumulative, t_clip, side="right") - 1, _N_QUAD - 1)
+        lo, hi = edges[panel], edges[panel + 1]
+        guess = np.clip(np.interp(t_clip, cumulative, edges), lo, hi)
+        for _ in range(50):  # a few rounds converge; the cap only ends a cycle
+            s, speed = length(guess, order=1)
+            residual = s[:, 0] - t_clip
+            open_ = np.abs(residual) > 1e-13 * total  # converged points stay where they are
             if not open_.any():
                 break
-            hi_b = np.where(residual > 0, np.minimum(hi_b, guess), hi_b)
-            lo_b = np.where(residual <= 0, np.maximum(lo_b, guess), lo_b)
-            step = residual / np.maximum(speed_of(guess), 1e-300)
-            proposal = guess - step
-            outside = (proposal <= lo_b) | (proposal >= hi_b)
-            guess = np.where(open_, np.where(outside, 0.5 * (lo_b + hi_b), proposal), guess)
+            guess[open_] = np.clip(guess[open_] - residual[open_] / speed[open_, 0],
+                                   lo[open_], hi[open_])
         return guess
 
     def chain(t_values):
@@ -396,6 +392,9 @@ def reparametrize_by_arclength(curve) -> ArcLengthCurve:
         dv = invert(t_values)
         v0, v1, v2, v3 = curve.derivatives(dv, 3)
         speed = np.linalg.norm(v1, axis=1, keepdims=True)
+        if not speed.all():
+            raise DegenerateCurveError(f"curve {curve.name!r} has zero speed at "
+                                       f"d = {float(dv[np.argmin(speed)])!r}")
         a = (v1 * v2).sum(axis=1, keepdims=True)
         b = (v2 * v2).sum(axis=1, keepdims=True) + (v1 * v3).sum(axis=1, keepdims=True)
         rdot = v1 / speed

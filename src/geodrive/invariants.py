@@ -150,7 +150,7 @@ def _fit_euler_angles(props):
     return theta, big_b, big_c
 
 
-def angles_from_schedule(schedule, n_samples: int = 10_001, keep_propagators: bool = True,
+def angles_from_schedule(schedule, n_samples: int = 10_001,
                          residual_tol: float = 1e-6) -> InvariantAngles:
     """Extract continuous invariant angles from an integrated propagator.
 
@@ -186,7 +186,7 @@ def angles_from_schedule(schedule, n_samples: int = 10_001, keep_propagators: bo
             f"three-angle factorization residual {residual:.3e} exceeds {residual_tol:.1e}")
     return InvariantAngles(time=times, theta=theta, beta=big_b, alpha=alpha,
                            frame_offset=frame_offset, residual=residual,
-                           propagators=props if keep_propagators else None)
+                           propagators=props)
 
 
 def lr_phase_series(schedule, angles: InvariantAngles, mode_index: int = 1):
@@ -266,6 +266,6 @@ def tangent_from_angles(angles: InvariantAngles):
 def propagator_rebuild_error(angles: InvariantAngles):
     """Frobenius deviation between integrated and rebuilt propagators."""
     if angles.propagators is None:
-        raise ValueError("angles were extracted without keep_propagators")
+        raise ValueError("angles carry no integrated propagators")
     return np.linalg.norm(angles.rebuilt_propagators() - angles.propagators,
                           axis=(1, 2))

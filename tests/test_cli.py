@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -213,6 +214,20 @@ def test_nonpositive_tol_is_input_error(tmp_path, capsys, command, tol):
                  "--tol", tol])
     assert code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate-curve", "synthesize"])
+def test_zero_speed_curve_is_curve_error(tmp_path, capsys, command):
+    # r'(d) = (0, 0, 9 d^2) vanishes at d = 0, the point t = 0 of every sampled grid
+    payload = {**REFERENCE, "curve": {"x": "0", "y": "0", "z": "3*d^3"}}
+    path = write_scenario(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "curve error: curve 'expression-curve' has zero speed at d = 0.0" in err
+    assert "NaN" not in err and "Traceback" not in err
 
 
 class TestSynthesizeCommand:

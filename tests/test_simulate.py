@@ -170,7 +170,7 @@ class TestSweep:
             assert trace <= 1e-12 and herm <= 1e-12 and min_eig >= -1e-8
 
     def test_wide_sweep_memory(self, stirap):
-        # 3 MB: the sweep keeps only each delta's final state (2.34 MB measured);
+        # 3 MB: the sweep keeps only each delta's final state (1.97 MB measured);
         # a build of every step's generators at once would hold 2 x 2800 x 101 of them
         deltas = np.linspace(-0.8, 0.8, 101)
         sweep_delta(stirap, deltas[:2], gamma=0.003)  # the schedule's lazy interpolant
