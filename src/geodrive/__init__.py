@@ -10,16 +10,13 @@ from .baselines import (SrtParams, StaParams, StirapParams, srt_schedule,
 from .curves import (ArcLengthCurve, BoundaryReport, CurveGeometry,
                      DegenerateCurveError, ParametricCurve,
                      check_boundary_conditions, curvature_torsion,
-                     curve_from_expressions, curve_from_position,
-                     curve_from_table, read_curve_table,
-                     reference_curve, reparametrize_by_arclength)
+                     curve_from_expressions, curve_from_table,
+                     read_curve_table, reference_curve,
+                     reparametrize_by_arclength)
 from .invariants import (InconsistentAnglesError, InvariantAngles,
                          angles_from_schedule, evolution_operator,
-                         invariant_eigenstates, invariant_operator, lr_phase,
-                         perturbative_fidelity)
-from .operators import (IntegrationFailure, K_X, K_Y, K_Z, commutator,
-                        hamiltonian, propagate_state, scaled_frobenius_norm,
-                        spin1_generators)
+                         invariant_eigenstates, perturbative_fidelity)
+from .operators import IntegrationFailure, K_X, K_Y, K_Z, propagate_state
 from .schedules import (ControlSchedule, TwoToneSchedule, noise_term,
                         reconstruct_curve, roundtrip_deviation, synthesize)
 from .simulate import (NoiseModel, SimulationResult,

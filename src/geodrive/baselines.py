@@ -43,11 +43,6 @@ class SrtParams:
         if self.duration is not None and self.duration <= 0:
             raise BaselineParamError("duration", f"must be positive, got {self.duration}")
 
-    @property
-    def effective_rabi(self) -> float:
-        """Two-photon Rabi frequency Omega+ Omega- / (2 |Delta|)."""
-        return self.rabi * self.rabi / (2.0 * abs(self.detuning))
-
 
 @dataclass
 class StirapParams:
@@ -122,7 +117,8 @@ def srt_schedule(params: SrtParams = None, n_samples: int = MIN_GRID,
     Both tones are detuned by the same amount from the intermediate level
     (two-photon resonance between |-1> and |+1>).  With no duration given,
     the schedule stops at the first simulated maximum of P_+1, which the
-    ac-Stark corrections shift slightly away from pi / effective_rabi.
+    ac-Stark corrections shift slightly away from pi / Omega_eff, with the
+    two-photon Rabi frequency Omega_eff = rabi^2 / (2 |detuning|).
     """
     params = params or SrtParams()
     warnings = ()

@@ -256,16 +256,18 @@ def build_parser():
         "run": cmd_run,
         "sweep": cmd_sweep,
     }
-    for name, handler in handlers.items():
+    for name, handler in handlers.items():  # each command accepts only the flags it reads
         cmd = sub.add_parser(name)
         cmd.add_argument("--scenario", required=True, help="scenario JSON file")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--tol", type=_positive_float, default=1e-6,
-                         help="boundary-condition tolerance")
+        if name != "validate-curve":
+            cmd.add_argument("--out", default=None, help="output directory")
+            cmd.add_argument("--plot-script", action="store_true",
+                             help="also emit gnuplot script files")
+        if name in ("validate-curve", "synthesize"):
+            cmd.add_argument("--tol", type=_positive_float, default=1e-6,
+                             help="boundary-condition tolerance")
         cmd.add_argument("--convention", choices=CONVENTIONS, default=ANGULAR,
                          help="how scenario frequencies are interpreted")
-        cmd.add_argument("--plot-script", action="store_true",
-                         help="also emit gnuplot script files")
         cmd.set_defaults(handler=handler)
     return parser
 
@@ -280,7 +282,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    if args.out is None:
+    if "out" in args and args.out is None:
         args.out = scenario.output_dir
     try:
         return args.handler(scenario, args)

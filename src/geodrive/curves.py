@@ -1,9 +1,8 @@
 """Three-dimensional parametric curves and their arc-length geometry.
 
-Curves enter in one of three forms: closed-form expression strings in the
+Curves enter in one of two forms: closed-form expression strings in the
 parameter d (exact derivatives, by Taylor-jet arithmetic over the parsed
-expression), dense sample tables (quintic-spline derivatives), or bare
-position callables (finite-difference derivatives).
+expression) or dense sample tables (quintic-spline derivatives).
 Everything downstream works with the arc-length form, from which curvature
 and torsion are read off.
 """
@@ -251,46 +250,6 @@ def read_curve_table(path, name=None) -> ParametricCurve:
     return curve_from_table(rows[:, 0], rows[:, 1:], name=name or str(path))
 
 
-#: base step of :func:`curve_from_position`; its third derivatives take twice this
-_FD_STEP = 1e-2
-
-
-def curve_from_position(position, name="sampled-curve") -> ParametricCurve:
-    """Finite-difference derivatives of a bare position callable.
-
-    4th-order central differences with one Richardson extrapolation step.
-    The base step is deliberately coarse: third derivatives from noisy
-    positions need h ~ 1e-2 to stay away from the roundoff floor.
-    """
-
-    def fd(order, dv, step):
-        if order == 1:
-            stencil = [(-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12)]
-            scale = step
-        elif order == 2:
-            stencil = [(-2, -1 / 12), (-1, 16 / 12), (0, -30 / 12), (1, 16 / 12), (2, -1 / 12)]
-            scale = step * step
-        else:
-            stencil = [(-3, 1 / 8), (-2, -1), (-1, 13 / 8), (1, -13 / 8), (2, 1), (3, -1 / 8)]
-            scale = step ** 3
-        acc = np.zeros((dv.size, 3))
-        for offset, weight in stencil:
-            acc += weight * np.atleast_2d(position(dv + offset * step))
-        return acc / scale
-
-    def derivatives(dv, k):
-        dv = np.atleast_1d(np.asarray(dv, dtype=float))
-        out = [np.atleast_2d(position(dv))]
-        for order in range(1, k + 1):
-            step = _FD_STEP if order < 3 else 2 * _FD_STEP
-            coarse = fd(order, dv, step)
-            fine = fd(order, dv, step / 2)
-            out.append((16.0 * fine - coarse) / 15.0)
-        return out
-
-    return ParametricCurve(derivatives, name)
-
-
 @functools.lru_cache(maxsize=1)
 def reference_curve() -> ParametricCurve:
     """Built-in closed curve realizing the transfer boundary conditions.
@@ -316,8 +275,7 @@ class ArcLengthCurve:
     """Unit-speed curve r(t) on t in [0, L] with derivatives to order 3.
 
     ``jet`` maps an (n,) arc-length array to the (n, 3) arrays
-    (r, r', r'', r''') from one evaluation; the four accessors below each
-    return one of them.
+    (r, r', r'', r''') from one evaluation; ``position`` returns the first.
     """
 
     total_length: float
@@ -327,15 +285,6 @@ class ArcLengthCurve:
 
     def position(self, t):
         return self.jet(t)[0]
-
-    def tangent(self, t):
-        return self.jet(t)[1]
-
-    def second_derivative(self, t):
-        return self.jet(t)[2]
-
-    def third_derivative(self, t):
-        return self.jet(t)[3]
 
 
 def reparametrize_by_arclength(curve) -> ArcLengthCurve:
@@ -351,16 +300,16 @@ def reparametrize_by_arclength(curve) -> ArcLengthCurve:
     """
     if isinstance(curve, ArcLengthCurve):
         return curve
-    if not np.all(np.isfinite(curve.position(np.linspace(0.0, 1.0, 10_000)))):
-        raise DegenerateCurveError(f"curve {curve.name!r} produced non-finite samples")
-
-    edges = np.linspace(0.0, 1.0, _N_QUAD + 1)
-    half = 0.5 / _N_QUAD
-    quad_d = ((edges[:-1] + half)[:, None] + half * _NODES).ravel()
-    speeds = np.linalg.norm(curve.derivatives(quad_d, 1)[1], axis=1).reshape(_N_QUAD, _GL_ORDER)
-    if not np.all(np.isfinite(speeds)):
-        raise DegenerateCurveError(f"curve {curve.name!r} is not rectifiable")
-    cumulative = np.concatenate([[0.0], np.cumsum((speeds * _WEIGHTS).sum(axis=1) * half)])
+    with np.errstate(all="ignore"):  # the isfinite checks report a pole or an overflow
+        if not np.all(np.isfinite(curve.position(np.linspace(0.0, 1.0, 10_000)))):
+            raise DegenerateCurveError(f"curve {curve.name!r} produced non-finite samples")
+        edges = np.linspace(0.0, 1.0, _N_QUAD + 1)
+        half = 0.5 / _N_QUAD
+        quad_d = ((edges[:-1] + half)[:, None] + half * _NODES).ravel()
+        speeds = np.linalg.norm(curve.derivatives(quad_d, 1)[1], axis=1).reshape(_N_QUAD, _GL_ORDER)
+        if not np.all(np.isfinite(speeds)):
+            raise DegenerateCurveError(f"curve {curve.name!r} is not rectifiable")
+        cumulative = np.concatenate([[0.0], np.cumsum((speeds * _WEIGHTS).sum(axis=1) * half)])
     total = float(cumulative[-1])
     if not np.isfinite(total) or total < 1e-12:
         raise DegenerateCurveError(f"curve {curve.name!r} has zero arc length")

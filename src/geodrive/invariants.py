@@ -4,9 +4,9 @@ The propagator of any schedule built from the K operators factors as
 U(t, 0) = e^{-i beta K_z} e^{-i theta K_y} e^{i (alpha + beta0) K_z},
 where (theta, beta) orient the invariant's eigenframe, alpha is the
 accumulated mode phase, and beta0 is the constant azimuth of the initial
-eigenframe.  This module extracts those angles from integrated propagators,
-computes the mode phases by quadrature, and evaluates the second-order
-perturbative fidelity under a quasistatic K_z error.
+eigenframe.  This module extracts those angles from integrated propagators
+and evaluates the second-order perturbative fidelity under a quasistatic K_z
+error.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import cumulative_simpson, simpson
-from .operators import K_X, K_Y, K_Z, SQRT2, propagate_operator, toggling_frame
-
-OMEGA0 = 1.0  # invariant eigenvalue scale; arbitrary, cancels in observables
+from .numerics import simpson
+from .operators import SQRT2, propagate_operator, toggling_frame
 
 
 class InconsistentAnglesError(RuntimeError):
@@ -26,7 +24,7 @@ class InconsistentAnglesError(RuntimeError):
 
 
 def invariant_eigenstates(theta, beta):
-    """Eigenstates of the invariant for eigenvalues (+1, 0, -1) * Omega0.
+    """Eigenstates of the invariant for eigenvalues (+1, 0, -1).
 
     Vectorized over the leading axes of theta and beta; each state has the
     shape of the broadcast inputs plus a trailing axis of 3.  Assembled so
@@ -45,17 +43,6 @@ def invariant_eigenstates(theta, beta):
     return phi1, phi2, phi3
 
 
-def invariant_operator(theta, beta, omega0: float = OMEGA0):
-    """I = Omega0 (sin(theta)cos(beta) K_x + sin(theta)sin(beta) K_y + cos(theta) K_z)."""
-    theta = np.asarray(theta, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    nx = np.cos(beta) * np.sin(theta)
-    ny = np.sin(beta) * np.sin(theta)
-    nz = np.cos(theta)
-    return omega0 * (np.multiply.outer(nx, K_X) + np.multiply.outer(ny, K_Y)
-                     + np.multiply.outer(nz, K_Z))
-
-
 def evolution_operator(theta, beta, alpha):
     """The three-angle propagator matrix (vectorized over leading axes).
 
@@ -71,10 +58,10 @@ def evolution_operator(theta, beta, alpha):
 class InvariantAngles:
     """Continuous (theta, beta, alpha) extracted from a propagator.
 
-    ``frame_offset`` is beta(0+): the initial eigenframe azimuth.  The
-    propagator rebuild uses alpha + frame_offset as the right z-angle; the
-    reported alpha is normalized so alpha(0) = 0, matching the mode-phase
-    integral.
+    ``frame_offset`` is beta(0+): the initial eigenframe azimuth.
+    ``evolution_operator(theta, beta, alpha + frame_offset)`` rebuilds the
+    integrated ``propagators``; the reported alpha is normalized so
+    alpha(0) = 0, matching the mode-phase integral.
     """
 
     time: np.ndarray
@@ -84,10 +71,6 @@ class InvariantAngles:
     frame_offset: float
     residual: float
     propagators: np.ndarray = None
-
-    def rebuilt_propagators(self):
-        return evolution_operator(self.theta, self.beta,
-                                  self.alpha + self.frame_offset)
 
 
 def _fill_invalid(values, valid):
@@ -189,31 +172,6 @@ def angles_from_schedule(schedule, n_samples: int = 10_001,
                            propagators=props)
 
 
-def lr_phase_series(schedule, angles: InvariantAngles, mode_index: int = 1):
-    """Mode phase alpha_n(t) on the angle grid, by Simpson quadrature.
-
-    The integrand Re<phi_n| i d/dt - H |phi_n> is evaluated from the sampled
-    eigenstates, with the time derivative taken by finite differences of the
-    state components.
-    """
-    if mode_index not in (1, 2, 3):
-        raise ValueError("mode_index must be 1, 2 or 3")
-    states = invariant_eigenstates(angles.theta, angles.beta)[mode_index - 1]
-    dt = angles.time[1] - angles.time[0]
-    dstates = np.gradient(states, dt, axis=0, edge_order=2)
-    inner_dt = np.einsum("nj,nj->n", states.conj(), dstates)
-    hams = schedule.hamiltonians(angles.time)
-    inner_h = np.einsum("nj,njk,nk->n", states.conj(), hams, states)
-    integrand = (1j * inner_dt - inner_h).real
-    return cumulative_simpson(integrand, angles.time)
-
-
-def lr_phase(schedule, angles: InvariantAngles, t: float, mode_index: int = 1) -> float:
-    """alpha_n at time t (linear interpolation on the quadrature grid)."""
-    series = lr_phase_series(schedule, angles, mode_index)
-    return float(np.interp(t, angles.time, series))
-
-
 def noise_suppression_term(schedule, n_samples: int = 2001) -> float:
     """The delta^2 coefficient of the perturbative infidelity.
 
@@ -232,40 +190,3 @@ def perturbative_fidelity(schedule, delta: float, n_samples: int = 2001) -> floa
     """Second-order fidelity estimate 1 - delta^2 * (noise term)."""
     noise = noise_suppression_term(schedule, n_samples)
     return float(np.clip(1.0 - delta**2 * noise, 0.0, 1.0))
-
-
-def invariant_defect(schedule, angles: InvariantAngles, omega0: float = OMEGA0):
-    """Scaled Frobenius norm of dI/dt - i[I, H] at interior grid points.
-
-    dI/dt is a 5-point 4th-order finite-difference stencil on the sampled
-    invariant; a vanishing defect validates the extracted (theta, beta).
-    """
-    i_op = invariant_operator(angles.theta, angles.beta, omega0)
-    dt = angles.time[1] - angles.time[0]
-    di = (-i_op[4:] + 8.0 * i_op[3:-1] - 8.0 * i_op[1:-3] + i_op[:-4]) / (12.0 * dt)
-    interior = angles.time[2:-2]
-    hams = schedule.hamiltonians(interior)
-    comm = np.matmul(i_op[2:-2], hams) - np.matmul(hams, i_op[2:-2])
-    defect = di - 1j * comm
-    return np.linalg.norm(defect, axis=(1, 2)) / SQRT2
-
-
-def tangent_from_angles(angles: InvariantAngles):
-    """Tangent of the noise-integral curve implied by the extracted angles.
-
-    Uses the total azimuth alpha + frame_offset, i.e. the frame of the
-    integrated propagator (the same frame reconstruct_curve works in).
-    """
-    azimuth = angles.alpha + angles.frame_offset
-    sin_t = np.sin(angles.theta)
-    return np.stack([-sin_t * np.cos(azimuth),
-                     -sin_t * np.sin(azimuth),
-                     np.cos(angles.theta)], axis=1)
-
-
-def propagator_rebuild_error(angles: InvariantAngles):
-    """Frobenius deviation between integrated and rebuilt propagators."""
-    if angles.propagators is None:
-        raise ValueError("angles carry no integrated propagators")
-    return np.linalg.norm(angles.rebuilt_propagators() - angles.propagators,
-                          axis=(1, 2))

@@ -65,42 +65,9 @@ class IntegrationFailure(RuntimeError):
         self.time = time
 
 
-def spin1_generators():
-    """The three spin-1 angular momentum matrices (K_x, K_y, K_z)."""
-    return K_X, K_Y, K_Z
-
-
-def hamiltonian(omega: float, delta: float, phi: float) -> np.ndarray:
-    """Driving Hamiltonian Omega*cos(phi)*K_x + Omega*sin(phi)*K_y + Delta*K_z.
-
-    ``omega`` is the reduced Rabi frequency (lab-frame envelopes are
-    sqrt(2) * omega); must be non-negative.
-    """
-    if omega < 0:
-        raise ValueError(f"omega must be non-negative, got {omega}")
-    return omega * np.cos(phi) * K_X + omega * np.sin(phi) * K_Y + delta * K_Z
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def scaled_frobenius_norm(m: np.ndarray) -> float:
-    """sqrt(sum |m_ij|^2) / sqrt(2); unitarily invariant.
-
-    Under this normalization each of K_x, K_y, K_z has norm 1, so the norm of
-    a combination v . (K_x, K_y, K_z) equals the Euclidean length of v.
-    """
-    return float(np.linalg.norm(m) / SQRT2)
-
-
 def norm_defect(psi: np.ndarray) -> float:
     """Deviation of the 2-norm from 1 (reported, never silently repaired)."""
     return abs(float(np.linalg.norm(psi)) - 1.0)
-
-
-def unitarity_defect(u: np.ndarray) -> float:
-    return float(np.linalg.norm(u.conj().T @ u - IDENTITY3))
 
 
 def density_matrix_defects(rho: np.ndarray):

@@ -33,8 +33,8 @@ def _uniform(time):
 
 class _InterpolatedFields:
     """Shared plumbing: the grid and field checks, one cached PCHIP
-    interpolant over the stacked ``_FIELDS`` columns, range-checked field
-    values, and H(t) at one time as the single-time case of the vectorized
+    interpolant over the stacked ``_FIELDS`` columns, and range-checked field
+    values; each subclass builds H from them only in its vectorized
     ``hamiltonians``."""
 
     def __post_init__(self):
@@ -58,9 +58,6 @@ class _InterpolatedFields:
             columns = np.stack([getattr(self, name) for name in self._FIELDS], axis=-1)
             self._interpolant = CubicHermite(self.time, columns, pchip_slopes(self.time, columns))
         return tuple(np.moveaxis(self._interpolant(t)[0], -1, 0))
-
-    def hamiltonian(self, t):
-        return self.hamiltonians(np.array([t], dtype=float))[0]
 
     @property
     def time_span(self):
@@ -122,9 +119,6 @@ class ControlSchedule(_InterpolatedFields):
         return replace(self, time=self.time * s, omega=self.omega / s,
                        delta=self.delta / s)
 
-    def with_phase_offset(self, offset: float) -> "ControlSchedule":
-        return replace(self, phi=self.phi + offset)
-
 
 @dataclass
 class TwoToneSchedule(_InterpolatedFields):
@@ -165,22 +159,6 @@ class TwoToneSchedule(_InterpolatedFields):
         h[..., 1, 2] = om_s / SQRT2 * np.exp(1j * ph_s)
         h[..., 2, 1] = np.conj(h[..., 1, 2])
         return h
-
-    def lab_envelopes(self, t):
-        """Lab-frame (pump, Stokes) Rabi envelopes sqrt(2) * reduced."""
-        om_p, om_s = self.values(t)[:2]
-        return SQRT2 * om_p, SQRT2 * om_s
-
-
-def as_two_tone(schedule: ControlSchedule) -> TwoToneSchedule:
-    """Expand a common-envelope schedule into per-tone arrays."""
-    return TwoToneSchedule(
-        time=schedule.time,
-        pump_omega=schedule.omega, stokes_omega=schedule.omega,
-        pump_delta=schedule.delta, stokes_delta=-schedule.delta,
-        pump_phi=schedule.phi, stokes_phi=-schedule.phi,
-        warnings=schedule.warnings,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +231,7 @@ def noise_term(schedule) -> float:
 def _initial_normal(arc):
     """First well-defined unit normal of an arc-length curve."""
     probes = np.linspace(0.0, arc.total_length * 1e-3, 7)
-    seconds = arc.second_derivative(probes)
+    seconds = arc.jet(probes)[2]
     norms = np.linalg.norm(seconds, axis=1)
     for vec, mag in zip(seconds, norms):
         if mag > 1e-9:

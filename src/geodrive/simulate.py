@@ -37,18 +37,6 @@ class SimulationResult:
     trace_defect: float
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def p_minus1(self):
-        return self.populations[:, 0]
-
-    @property
-    def p_0(self):
-        return self.populations[:, 1]
-
-    @property
-    def p_plus1(self):
-        return self.populations[:, 2]
-
 
 def relaxation_channels():
     """Jump operators |k><j| for the four relaxation channels j -> k.

@@ -1,11 +1,17 @@
+import bisect
+import cmath
+import math
+
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import geodrive as gd
 from geodrive import operators
 from geodrive.baselines import srt_schedule, sta_schedule, stirap_schedule
 from geodrive.invariants import angles_from_schedule
 from geodrive.operators import K_Z, KET_MINUS1
+from geodrive.schedules import ControlSchedule
 from geodrive.simulate import relaxation_channels
 
 
@@ -83,29 +89,53 @@ def dop853_oracle():
     return _dop853_oracle
 
 
+def _oracle_hamiltonian(schedule):
+    """H(t) of a schedule from scipy's PCHIP over its ``_FIELDS``, independent of
+    the program's interpolant: the piece by ``bisect``, each field by a float
+    Horner step over the piece's coefficients held as Python lists."""
+    columns = np.stack([getattr(schedule, name) for name in schedule._FIELDS], axis=-1)
+    pchip = PchipInterpolator(schedule.time, columns)
+    knots, coeffs = pchip.x.tolist(), pchip.c.transpose(1, 2, 0).tolist()
+
+    def hamiltonian(t):  # t in [t0, t1], where the piece index runs from 0 to len(coeffs) - 1
+        piece = min(bisect.bisect_right(knots, t), len(coeffs)) - 1
+        x = float(t) - knots[piece]
+        fields = [((c3 * x + c2) * x + c1) * x + c0 for c3, c2, c1, c0 in coeffs[piece]]
+        if isinstance(schedule, ControlSchedule):  # the two tones of a common envelope
+            omega, delta, phi = fields
+            fields = [max(omega, 0.0), max(omega, 0.0), delta, -delta, phi, -phi]
+        om_p, om_s, de_p, de_s, ph_p, ph_s = fields
+        pump = om_p / math.sqrt(2.0) * cmath.exp(-1j * ph_p)
+        stokes = om_s / math.sqrt(2.0) * cmath.exp(1j * ph_s)
+        return np.array([de_p, pump, 0.0, pump.conjugate(), 0.0, stokes,
+                         0.0, stokes.conjugate(), de_s], dtype=complex).reshape(3, 3)
+
+    return hamiltonian
+
+
 def _dop853_oracle(schedule, deltas, gamma=None, times=None):
     """One adaptive DOP853 solve at rtol 1e-13 from |-1> under H(t) + delta K_z
-    for all ``deltas`` at once, written without the stepper's Liouville lift.
+    for all ``deltas`` at once, with its own H(t) and without the stepper's Liouville lift.
 
     Returns the kets, shape (len(deltas), len(times), 3); with a relaxation
     rate ``gamma``, the density matrices of the master equation with the
     four relaxation channels, shape (len(deltas), len(times), 3, 3).
     ``times`` defaults to the schedule's end points.
     """
-    shifts = np.multiply.outer(deltas, K_Z)
+    shifts, hamiltonian = np.multiply.outer(deltas, K_Z), _oracle_hamiltonian(schedule)
     t0, t1 = schedule.time_span
     times = np.array([t0, t1] if times is None else times)
     if gamma is None:
         def rhs(t, y):
             kets = y.reshape(len(deltas), 3, 1)
-            return (-1j * ((schedule.hamiltonian(t) + shifts) @ kets)).ravel()
+            return (-1j * ((hamiltonian(t) + shifts) @ kets)).ravel()
         y0, shape = np.tile(KET_MINUS1, len(deltas)), (3,)
     else:
         channels = [(jump, jump.conj().T, jump.conj().T @ jump) for jump in relaxation_channels()]
 
         def rhs(t, y):
             rho = y.reshape(len(deltas), 3, 3)
-            h = schedule.hamiltonian(t) + shifts
+            h = hamiltonian(t) + shifts
             drho = -1j * (h @ rho - rho @ h)
             for jump, jump_dag, proj in channels:
                 drho += gamma * (jump @ rho @ jump_dag - 0.5 * (proj @ rho + rho @ proj))

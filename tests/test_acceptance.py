@@ -11,14 +11,13 @@ import numpy as np
 
 import geodrive as gd
 from geodrive.baselines import srt_schedule, sta_schedule, stirap_schedule
-from geodrive.invariants import (angles_from_schedule, invariant_defect,
-                                 lr_phase_series, perturbative_fidelity,
-                                 propagator_rebuild_error)
-from geodrive.operators import (K_X, K_Y, K_Z, commutator, hamiltonian,
-                                propagate_operator, unitarity_defect)
+from geodrive.invariants import angles_from_schedule, perturbative_fidelity
+from geodrive.operators import K_X, K_Y, K_Z, propagate_operator
 from geodrive.schedules import noise_term, roundtrip_deviation
 from geodrive.simulate import (NoiseModel, infidelity_scaling_exponent,
                                overlap_fidelity, run_lindblad, run_schrodinger)
+from physics import (commutator, constant_schedule, hamiltonian, invariant_defect,
+                     lr_phase_series, propagator_rebuild_error, unitarity_defect)
 
 GAMMA_NV = 0.002
 
@@ -166,11 +165,18 @@ def test_criterion_09_algebra_and_properties():
                and np.allclose(commutator(K_Y, K_Z), 1j * K_X, atol=1e-15)
                and np.allclose(commutator(K_Z, K_X), 1j * K_Y, atol=1e-15))
     crit.check("commutation relations", comm_ok)
-    herm_ok = all(
-        np.linalg.norm((h := hamiltonian(rng.uniform(0, 10), rng.uniform(-10, 10),
-                                         rng.uniform(-7, 7))) - h.conj().T) <= 1e-12
-        for _ in range(50))
+    herm_ok = program_ok = True
+    for _ in range(50):
+        fields = rng.uniform(0, 10), rng.uniform(-10, 10), rng.uniform(-7, 7)
+        h = hamiltonian(*fields)
+        herm_ok &= np.linalg.norm(h - h.conj().T) <= 1e-12
+        # the H that the solves step with, from the schedule's interpolant
+        program = constant_schedule(*fields).hamiltonians(np.array([0.0, 0.37, 1.0]))
+        program_ok &= (np.max(np.abs(program - h)) <= 1e-14 and np.max(np.linalg.norm(
+            program - program.conj().swapaxes(1, 2), axis=(1, 2))) <= 1e-14)
     crit.check("random Hamiltonians Hermitian <= 1e-12", herm_ok)
+    crit.check("schedule Hamiltonians match the formula and are Hermitian <= 1e-14",
+               program_ok)
     sta = sta_schedule()
     u = propagate_operator(sta, np.array([0.0, 2.0]))[-1]
     crit.check("propagator unitarity <= 1e-9", unitarity_defect(u) <= 1e-9)

@@ -210,24 +210,38 @@ class TestValidateCurveCommand:
 @pytest.mark.parametrize("tol", ["0", "-1e-6"])
 def test_nonpositive_tol_is_input_error(tmp_path, capsys, command, tol):
     path = write_scenario(tmp_path, REFERENCE)
-    code = main([command, "--scenario", str(path), "--out", str(tmp_path / "o"),
-                 "--tol", tol])
+    out_args = ["--out", str(tmp_path / "o")] if command == "synthesize" else []
+    code = main([command, "--scenario", str(path), *out_args, "--tol", tol])
     assert code == 2
     assert "--tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["validate-curve", "synthesize"])
-def test_zero_speed_curve_is_curve_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, flag", [("run", ["--tol", "1e-6"]),
+                                           ("validate-curve", ["--out", "o"])])
+def test_flag_the_command_does_not_read_is_input_error(tmp_path, capsys, command, flag):
+    path = write_scenario(tmp_path, REFERENCE)
+    assert main([command, "--scenario", str(path), *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, curve, error", [
     # r'(d) = (0, 0, 9 d^2) vanishes at d = 0, the point t = 0 of every sampled grid
-    payload = {**REFERENCE, "curve": {"x": "0", "y": "0", "z": "3*d^3"}}
+    ("validate-curve", ("0", "0", "3*d^3"), "has zero speed at d = 0.0"),
+    ("synthesize", ("0", "0", "3*d^3"), "has zero speed at d = 0.0"),
+    # y = 1/d is infinite at d = 0: no divide-by-zero warning ahead of the error line
+    ("validate-curve", ("0", "d^-1", "d"), "produced non-finite samples"),
+], ids=["validate-curve", "synthesize", "pole-validate-curve"])
+def test_zero_speed_curve_is_curve_error(tmp_path, capsys, command, curve, error):
+    payload = {**REFERENCE, "curve": dict(zip("xyz", curve))}
     path = write_scenario(tmp_path, payload)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+        out_args = ["--out", str(tmp_path / "o")] if command == "synthesize" else []
+        code = main([command, "--scenario", str(path), *out_args])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
-    assert "curve error: curve 'expression-curve' has zero speed at d = 0.0" in err
-    assert "NaN" not in err and "Traceback" not in err
+    assert f"curve error: curve 'expression-curve' {error}" in err
+    assert "NaN" not in err and "Traceback" not in err and "Warning" not in err
 
 
 class TestSynthesizeCommand:
@@ -480,9 +494,10 @@ def test_import_path_loads_neither_sympy_nor_scipy(tmp_path, command, curve):
     """A CLI process imports numpy only: sympy and scipy cost ~1 s of set-up."""
     payload = write_table(tmp_path, np.linspace(0.0, 1.0, 401)) if curve == "table" else REFERENCE
     path = write_scenario(tmp_path, payload)
+    out_arg = ", '--out', 'out'" if command == "synthesize" else ""
     run = "import geodrive.cli" if command == "import" else (
         "from geodrive.cli import main\n"
-        f"if main(['{command}', '--scenario', sys.argv[1], '--out', 'out']) != 0:\n"
+        f"if main(['{command}', '--scenario', sys.argv[1]{out_arg}]) != 0:\n"
         f"    sys.exit('{command} failed')")
     script = ("import sys\n" + run + "\n"
               "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'scipy'))\n"

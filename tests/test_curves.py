@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ import sympy as sp
 from geodrive.curves import (CurveExpressionError, DegenerateCurveError,
                              ParametricCurve, check_boundary_conditions,
                              curvature_torsion, curve_from_expressions,
-                             curve_from_position, curve_from_table,
-                             read_curve_table, reference_curve,
+                             curve_from_table, read_curve_table, reference_curve,
                              reparametrize_by_arclength, write_geometry_csv)
 from geodrive.schedules import reconstruct_curve, synthesize
 
@@ -52,17 +52,18 @@ class TestReparametrization:
     def test_segment_length_and_tangent(self):
         arc = reparametrize_by_arclength(segment_curve())
         assert arc.total_length == pytest.approx(3.0, abs=1e-10)
-        tangents = arc.tangent(np.linspace(0, 3, 7))
+        tangents = arc.jet(np.linspace(0, 3, 7))[1]
         assert np.allclose(tangents, [0, 0, 1], atol=1e-10)
 
     def test_unit_speed(self, reference_arc):
         grid = np.linspace(0, reference_arc.total_length, 500)
-        speeds = np.linalg.norm(reference_arc.tangent(grid), axis=1)
+        speeds = np.linalg.norm(reference_arc.jet(grid)[1], axis=1)
         assert np.max(np.abs(speeds - 1)) <= 1e-8
 
     def test_acceleration_orthogonal_to_tangent(self, reference_arc):
         grid = np.linspace(0, reference_arc.total_length, 500)
-        dots = np.sum(reference_arc.tangent(grid) * reference_arc.second_derivative(grid), axis=1)
+        _, rdot, rddot, _ = reference_arc.jet(grid)
+        dots = np.sum(rdot * rddot, axis=1)
         assert np.max(np.abs(dots)) <= 1e-6
 
     def test_idempotent(self, reference_arc):
@@ -109,14 +110,17 @@ class TestReparametrization:
             reparametrize_by_arclength(point)
 
     def test_non_finite_curve_rejected(self):
-        def bad(d):
-            d = np.atleast_1d(d)
-            out = np.stack([d, d, d], axis=1)
-            out[d > 0.5] = np.nan
+        def bad(d, k):
+            out = np.stack([np.stack([d, d, d], axis=1)] + [np.ones((d.size, 3))] * k)
+            out[:, d > 0.5] = np.nan
             return out
 
-        with pytest.raises(DegenerateCurveError):
-            reparametrize_by_arclength(curve_from_position(bad))
+        # and a pole, 1/d at d = 0, reported without numpy's divide-by-zero warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for curve in (ParametricCurve(bad), curve_from_expressions("0", "d^-1", "d")):
+                with pytest.raises(DegenerateCurveError, match="non-finite"):
+                    reparametrize_by_arclength(curve)
 
 
 class TestGeometry:
@@ -165,7 +169,9 @@ class TestGeometry:
         arc = reference_arc
         h = 1e-4 * arc.total_length
         grid = np.linspace(5 * h, arc.total_length - 5 * h, 101)
-        geo_t = arc.tangent
+
+        def geo_t(t):
+            return arc.jet(t)[1]
 
         def fd1(f, t):
             return (-f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)) / (12 * h)
@@ -180,9 +186,10 @@ class TestGeometry:
         kappa_fd = np.linalg.norm(rddot, axis=1)
         cross = np.cross(rdot, rddot)
         tau_fd = np.sum(cross * rdddot, axis=1) / np.sum(cross**2, axis=1)
-        kappa = np.linalg.norm(arc.second_derivative(grid), axis=1)
-        cross_a = np.cross(rdot, arc.second_derivative(grid))
-        tau = np.sum(cross_a * arc.third_derivative(grid), axis=1) / np.sum(cross_a**2, axis=1)
+        _, _, second, third = arc.jet(grid)
+        kappa = np.linalg.norm(second, axis=1)
+        cross_a = np.cross(rdot, second)
+        tau = np.sum(cross_a * third, axis=1) / np.sum(cross_a**2, axis=1)
         assert np.max(np.abs(kappa_fd - kappa) / kappa) <= 1e-5
         scale = np.maximum(np.abs(tau), 1.0)
         assert np.max(np.abs(tau_fd - tau) / scale) <= 1e-5
@@ -198,23 +205,16 @@ class TestJet:
             return reparametrize_by_arclength(helix_curve())
         if kind == "table":
             return reparametrize_by_arclength(curve_from_table(d, pts))
-        if kind == "finite-difference":
-            return reparametrize_by_arclength(curve_from_position(
-                lambda dv: np.stack([np.cos(2 * np.pi * dv), np.sin(2 * np.pi * dv),
-                                     1.5 * dv], axis=1)))
         arc = reparametrize_by_arclength(helix_curve())
         return reconstruct_curve(synthesize(curvature_torsion(arc, n_samples=501)))
 
-    @pytest.mark.parametrize("kind", ["expression", "table", "finite-difference", "reconstructed"])
+    @pytest.mark.parametrize("kind", ["expression", "table", "reconstructed"])
     def test_components_equal_accessors(self, kind):
         arc = self.helix_arc(kind)
         grid = np.linspace(0.0, arc.total_length, 37)
         jet = arc.jet(grid)
-        accessors = (arc.position, arc.tangent, arc.second_derivative, arc.third_derivative)
-        assert len(jet) == 4
-        for value, accessor in zip(jet, accessors):
-            assert value.shape == (grid.size, 3)
-            assert np.array_equal(value, accessor(grid))
+        assert len(jet) == 4 and all(value.shape == (grid.size, 3) for value in jet)
+        assert np.array_equal(jet[0], arc.position(grid))
 
     def test_one_inversion_per_geometry_call(self):
         # the source's evaluator is called once per jet, at order 3, and by nothing else
@@ -277,18 +277,6 @@ class TestCurveInputs:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_curve_table(path)
-
-    def test_position_only_fallback(self):
-        def pos(d):
-            d = np.atleast_1d(d)
-            return np.stack([np.cos(2 * np.pi * d), np.sin(2 * np.pi * d),
-                             np.zeros_like(d)], axis=1)
-
-        curve = curve_from_position(pos, name="circle-fd")
-        arc = reparametrize_by_arclength(curve)
-        geo = curvature_torsion(arc, n_samples=101)
-        assert np.allclose(geo.curvature, 1.0, atol=1e-5)
-        assert np.allclose(geo.torsion, 0.0, atol=1e-4)
 
     def test_expression_grammar(self):
         curve = curve_from_expressions("sin(pi*d)^2", "cos(pi*d)/2", "d")
@@ -367,14 +355,13 @@ def test_reference_curve_is_its_expressions():
     assert np.array_equal(reference_curve().derivatives(d, 3), fresh.derivatives(d, 3))
 
 
-@pytest.mark.parametrize("kind", ["expression", "table", "finite-difference"])
+@pytest.mark.parametrize("kind", ["expression", "table"])
 def test_each_order_has_the_same_bits_at_every_k(kind):
     """derivatives(d, k)[j] does not depend on k >= j, so the speeds of the
     arc-length table and the r' of its chain rule are the same bits."""
     rows = np.linspace(0.0, 1.0, 401)
     curve = {"expression": reference_curve,
              "table": lambda: curve_from_table(rows, reference_curve().position(rows)),
-             "finite-difference": lambda: curve_from_position(reference_curve().position),
              }[kind]()
     d = np.linspace(0.0, 1.0, 1001)
     full = curve.derivatives(d, 3)

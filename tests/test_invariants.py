@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from geodrive.invariants import (InconsistentAnglesError, angles_from_schedule,
-                                 evolution_operator, invariant_defect,
-                                 invariant_eigenstates, invariant_operator,
-                                 lr_phase, lr_phase_series,
-                                 noise_suppression_term, perturbative_fidelity,
-                                 propagator_rebuild_error, tangent_from_angles)
+                                 evolution_operator, invariant_eigenstates,
+                                 noise_suppression_term, perturbative_fidelity)
 from geodrive.baselines import sta_schedule
-from geodrive.operators import KET_MINUS1, unitarity_defect
+from geodrive.operators import KET_MINUS1
 from geodrive.schedules import ControlSchedule, reconstruct_curve
 from geodrive.simulate import overlap_fidelity
+from physics import (invariant_defect, invariant_operator, lr_phase_series,
+                     propagator_rebuild_error, tangent_from_angles, unitarity_defect)
 
 TWO_PI = 2 * np.pi
 
@@ -129,7 +128,7 @@ class TestInvariantEquation:
 
 class TestModePhases:
     def test_phase_starts_at_zero(self, scaled_schedule, geometric_angles):
-        assert lr_phase(scaled_schedule, geometric_angles, 0.0) == 0.0
+        assert lr_phase_series(scaled_schedule, geometric_angles)[0] == 0.0
 
     @pytest.mark.parametrize("fixture", ["geometric", "sta"])
     def test_phase_identities(self, fixture, scaled_schedule, geometric_angles,
@@ -144,7 +143,7 @@ class TestModePhases:
 
     def test_bad_mode_index(self, sta, sta_angles):
         with pytest.raises(ValueError):
-            lr_phase(sta, sta_angles, 0.5, mode_index=4)
+            lr_phase_series(sta, sta_angles, mode_index=4)
 
 
 class TestPerturbativeFidelity:
@@ -186,5 +185,5 @@ class TestTangentConsistency:
         for sched, angles in ((scaled_schedule, geometric_angles), (sta, sta_angles)):
             rec = reconstruct_curve(sched, n_samples=angles.time.size)
             formula = tangent_from_angles(angles)
-            sampled = rec.tangent(angles.time - angles.time[0])
+            sampled = rec.jet(angles.time - angles.time[0])[1]
             assert np.max(np.abs(formula - sampled)) <= 1e-6

@@ -7,11 +7,11 @@ from scipy.linalg import expm
 
 from geodrive import operators
 from geodrive.operators import (K_X, K_Y, K_Z, KET_MINUS1, KET_0, KET_PLUS1,
-                                IntegrationFailure, commutator, hamiltonian,
-                                norm_defect, propagate_operator,
-                                propagate_state, scaled_frobenius_norm,
-                                spin1_generators, unitarity_defect)
+                                IntegrationFailure, norm_defect, propagate_operator,
+                                propagate_state)
 from geodrive.simulate import _RELAXATION
+from physics import (commutator, constant_schedule, hamiltonian, scaled_frobenius_norm,
+                     unitarity_defect)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -24,13 +24,11 @@ def random_unitary(rng):
 
 class TestGenerators:
     def test_kz_is_diagonal(self):
-        kx, ky, kz = spin1_generators()
-        assert np.array_equal(kz, np.diag([1.0, 0.0, -1.0]))
+        assert np.array_equal(K_Z, np.diag([1.0, 0.0, -1.0]))
 
     def test_explicit_entries(self):
-        kx, ky, kz = spin1_generators()
-        assert np.allclose(kx, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / SQRT2)
-        assert np.allclose(ky, np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / SQRT2)
+        assert np.allclose(K_X, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / SQRT2)
+        assert np.allclose(K_Y, np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / SQRT2)
 
     @pytest.mark.parametrize("a, b, c", [(K_X, K_Y, K_Z), (K_Y, K_Z, K_X), (K_Z, K_X, K_Y)])
     def test_commutation_relations(self, a, b, c):
@@ -78,6 +76,15 @@ class TestHamiltonian:
     def test_negative_omega_rejected(self):
         with pytest.raises(ValueError):
             hamiltonian(-0.1, 0.0, 0.0)
+
+    def test_schedule_hamiltonians_match_formula(self, rng):
+        # the H that every solve steps with, from a schedule's interpolant
+        times = np.array([0.0, 0.37, 1.0])
+        for _ in range(25):
+            fields = rng.uniform(0, 10), rng.uniform(-10, 10), rng.uniform(-7, 7)
+            hams = constant_schedule(*fields).hamiltonians(times)
+            assert np.max(np.abs(hams - hamiltonian(*fields))) <= 1e-14
+            assert np.max(np.linalg.norm(hams - hams.conj().swapaxes(1, 2), axis=(1, 2))) <= 1e-14
 
 
 class TestScaledFrobeniusNorm:

@@ -67,7 +67,7 @@ class TestLindblad:
         result = run_lindblad(quiet_schedule(2500.0), NoiseModel(gamma=GAMMA_NV))
         assert np.allclose(result.populations[-1], 1 / 3, atol=0.05)
         # monotone decay out of the initial level
-        assert np.all(np.diff(result.p_minus1) <= 1e-12)
+        assert np.all(np.diff(result.populations[:, 0]) <= 1e-12)
 
     def test_uniform_state_is_stationary(self):
         rho0 = np.eye(3, dtype=complex) / 3
