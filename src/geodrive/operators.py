@@ -20,12 +20,9 @@ for _k in (K_X, K_Y, K_Z):
 IDENTITY3 = np.eye(3, dtype=complex)
 IDENTITY3.flags.writeable = False
 
-#: basis kets
+#: the basis ket |-1>, where every transfer starts
 KET_MINUS1 = np.array([1, 0, 0], dtype=complex)
-KET_0 = np.array([0, 1, 0], dtype=complex)
-KET_PLUS1 = np.array([0, 0, 1], dtype=complex)
-for _k in (KET_MINUS1, KET_0, KET_PLUS1):
-    _k.flags.writeable = False
+KET_MINUS1.flags.writeable = False
 
 #: orthonormal Hermitian basis, Tr(l_a l_b) = delta_ab: the diagonal units, then
 #: (E_jk + E_kj) / sqrt2 and i (E_kj - E_jk) / sqrt2 for j < k
@@ -35,25 +32,24 @@ _HERMITIAN_BASIS = np.concatenate(
      [1j * (_UNITS[3 * k + j] - _UNITS[3 * j + k]) / SQRT2 for j, k in _OFF]])
 
 
-def _real_lift(embed, generator):
-    """(embed, table) for dy/dt = generator(H) y, y = embed x: with H's 18 floats as
-    a row f, f @ table is Re(embed^H generator(H) embed), flattened; x = Re(embed^H y)."""
-    units = np.eye(18).view(complex).reshape(18, 3, 3)
-    return embed, np.array([(embed.conj().T @ generator(u) @ embed).real.ravel() for u in units])
+def _real_lift(embed, generator, h):
+    """Re(embed^H generator(h) embed), h a stack: dy/dt = generator(h) y on x = Re(embed^H y)."""
+    return (embed.conj().T @ generator(h) @ embed).real
 
 
-#: kets and propagators as (Re; Im): -iH becomes [[Im H, Re H], [-Re H, Im H]]
-_KET_LIFT = _real_lift(np.hstack([IDENTITY3, 1j * IDENTITY3]), lambda h: -1j * h)
-#: density matrices by x_a = Tr(l_a rho); -i[H, .] acts on row-major vec(rho)
-_DENSITY_LIFT = _real_lift(_HERMITIAN_BASIS.reshape(9, 9).T,
-                           lambda h: -1j * (np.kron(h, IDENTITY3) - np.kron(IDENTITY3, h.T)))
+#: (embed, generator) of kets and propagators as (Re; Im): -iH is [[Im H, Re H], [-Re H, Im H]]
+_KET_LIFT = np.hstack([IDENTITY3, 1j * IDENTITY3]), lambda h: -1j * h
+#: of density matrices by x_a = Tr(l_a rho): -i[H, .] is -i(H (x) I - I (x) H^T) on vec(rho)
+_DENSITY_LIFT = (_HERMITIAN_BASIS.reshape(9, 9).T, lambda h: -1j * (
+    np.einsum("...ik,jl->...ijkl", h, IDENTITY3) - np.einsum("ik,...lj->...ijkl", IDENTITY3, h)
+).reshape(h.shape[:-2] + (9, 9)))
 
 
 #: Gauss-Legendre nodes of a step [t, t + h] sit at mid -+ _GAUSS_OFFSET h
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _MAGNUS_C = np.sqrt(3.0) / 12.0
 _BLOCK = 64  # steps per prefix product: fixes the association, so batch members round as singles
-_ENTRIES = 2**14  # generator entries, steps x deltas x n^2, per build: bounds the temporaries
+_ENTRIES = 2**14  # exponent entries, steps x deltas x n^2, per build: bounds the temporaries
 _TAYLOR = 1.0 / np.cumprod([1.0, *range(1, 13)])  # 1/k!, k = 0..12, for _expm
 
 
@@ -138,62 +134,71 @@ def _expm(a):
     return out
 
 
+def _magnus_terms(schedule, grid, dissipator=None):
+    """(embed, w, t0, t1): at detuning delta, step k's Magnus exponent, flattened, is
+    w[k] @ (t0 + delta t1).  H = sum_i f_i B_i (``fields``, ``_BASIS``) lifts to
+    R = sum_i f_i G_i + E, E = delta lift(K_z) + D, so A = h/2 (R1 + R2) + c h^2 [R2, R1]
+    (c = sqrt(3)/12) is the row w = [h/2 (F1 + F2), h, c h^2 (F2_i F1_j - F2_j F1_i)_{i<j},
+    c h^2 (F2 - F1)] of the Gauss-node fields times the rows [G_i; E; [G_i, G_j]; [G_i, E]]."""
+    dt = np.diff(grid)
+    nodes = 0.5 * (grid[1:] + grid[:-1]) + np.multiply.outer([-_GAUSS_OFFSET, _GAUSS_OFFSET], dt)
+    fields = schedule.fields(nodes.ravel()).reshape(2, dt.size, -1)
+    finite = np.isfinite(fields).all(axis=2)
+    if not finite.all():
+        raise IntegrationFailure("non-finite Hamiltonian", float(nodes[~finite].min()))
+    embed, generator = _KET_LIFT if dissipator is None else _DENSITY_LIFT
+    g = _real_lift(embed, generator, schedule._BASIS)
+    fixed = 0 * g[0] if dissipator is None else (embed.conj().T @ dissipator @ embed).real
+    i, j = np.triu_indices(len(g), 1)
+    shift, pairs = _real_lift(embed, generator, K_Z), g[i] @ g[j] - g[j] @ g[i]
+    t0 = np.concatenate([g, [fixed], pairs, g @ fixed - fixed @ g])
+    t1 = np.concatenate([0 * g, [shift], 0 * pairs, g @ shift - shift @ g])
+    (f1, f2), h, ch2 = fields, dt[:, None], _MAGNUS_C * dt[:, None] ** 2
+    w = np.concatenate([0.5 * h * (f1 + f2), h, ch2 * (f2[:, i] * f1[:, j] - f2[:, j] * f1[:, i]),
+                        ch2 * (f2 - f1)], axis=1)
+    return embed, w, t0.reshape(len(w[0]), -1), t1.reshape(len(w[0]), -1)
+
+
 def _propagate(schedule, y0, times, deltas, dissipator=None, grid=None):
     """Samples of Y solving dY/dt = -i K(t) Y from Y(times[0]) = y0.
 
     K = H(t) + delta K_z on a ket (3,) or a matrix (3, 3), or with a constant
     Hermiticity-preserving ``dissipator`` D (9, 9), -i[K, rho] + D vec(rho) on a
-    density matrix.  Both are stepped in the real coordinates of :func:`_real_lift`,
-    where the generator R is real.  One fourth-order Magnus step per interval of
-    :func:`_step_grid`, so each step lies in one PCHIP piece, where H(t) is smooth
-    (it is C1 at knots).  With R1, R2 at the two Gauss nodes, a step h is exp(A),
-    A = h/2 (R1 + R2) + sqrt(3)/12 h^2 [R2, R1], by :func:`_expm`.  Each block of
-    _BLOCK steps is a doubling prefix product, after folding step pairs while
-    every sample in the block falls on a pair boundary: the same association,
-    so the same bits, with fewer products.  A build runs consecutive blocks
-    through each numpy call, folded as often as all of them allow: the scan's
-    entry (i + 1) 2^f - 1 already holds the product of f folds, so each block
-    keeps its bits.  A short loop then carries the state from block to block,
-    and only the sample rows are applied to it and stored.  The result,
-    (len(deltas), len(times)) + y0.shape, is never renormalized.  A caller that
-    needs the step count passes ``grid = _step_grid(schedule, times)`` itself.
+    density matrix, stepped in real coordinates by one Magnus step exp(A)
+    (:func:`_magnus_terms`, :func:`_expm`) per interval of :func:`_step_grid`, so
+    each step lies in one PCHIP piece.  Each (block of _BLOCK steps, delta) gets
+    its A from one (steps x m) @ (m x n^2) product and its running product from a
+    doubling prefix scan, after folding step pairs while every sample falls on a
+    pair boundary: the same arithmetic in any batch and any build of consecutive
+    blocks (scan entry (i + 1) 2^f - 1 holds the product of f folds), so the same
+    bits.  A short loop carries the state from block to block; only the sample
+    rows are stored, (len(deltas), len(times)) + y0.shape, never renormalized.  A
+    caller that needs the step count passes ``grid = _step_grid(schedule, times)``.
     """
     times = np.asarray(times, dtype=float)
     grid = _step_grid(schedule, times) if grid is None else grid
-    dt = np.diff(grid)
-    nodes = 0.5 * (grid[1:] + grid[:-1]) + np.multiply.outer([-_GAUSS_OFFSET, _GAUSS_OFFSET], dt)
-    hams = np.ascontiguousarray(schedule.hamiltonians(nodes.ravel()), complex)
-    hams = hams.view(float).reshape(2, -1, 18)
-    finite = np.isfinite(hams).all(axis=2)
-    if not finite.all():
-        raise IntegrationFailure("non-finite Hamiltonian", float(nodes[~finite].min()))
-    embed, lift = _KET_LIFT if dissipator is None else _DENSITY_LIFT
-    n = embed.shape[1]
-    fixed = 0.0 if dissipator is None else (embed.conj().T @ dissipator @ embed).real
-    offset = np.multiply.outer(deltas, (K_Z.view(float).ravel() @ lift).reshape(n, n)) + fixed
+    embed, w, t0, t1 = _magnus_terms(schedule, grid, dissipator)
+    n, steps = embed.shape[1], len(w)
     start = np.reshape(y0, (embed.shape[0], -1))
-    state = np.repeat((embed.conj().T @ start).real[None], len(offset), axis=0)
+    state = np.repeat((embed.conj().T @ start).real[None], len(deltas), axis=0)
     rows = np.searchsorted(grid, times)
-    samples = np.empty((len(offset), times.size) + start.shape, dtype=complex)
+    samples = np.empty((len(deltas), times.size) + start.shape, dtype=complex)
     samples[:, 0] = start
     chunk = max(1, _ENTRIES // (_BLOCK * n * n))  # deltas per build
-    per_build = max(1, chunk // max(1, len(offset)))  # blocks per build
-    full = dt.size - dt.size % _BLOCK  # then the partial last block is a build of its own
-    cuts = sorted({*range(0, full, per_build * _BLOCK), full, dt.size})
+    per_build = max(1, chunk // max(1, len(deltas)))  # blocks per build
+    full = steps - steps % _BLOCK  # then the partial last block is a build of its own
+    cuts = sorted({*range(0, full, per_build * _BLOCK), full, steps})
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         size = min(_BLOCK, hi - lo)
-        h = dt[lo:hi].reshape(-1, size, 1, 1, 1)
-        base = (hams[:, lo:hi].reshape(2, -1, size, 18) @ lift).reshape(2, -1, size, 1, n, n)
+        rows_w = w[lo:hi].reshape(-1, 1, size, w.shape[1])
         taken = np.flatnonzero((rows > lo) & (rows <= hi))
         block, ends = np.divmod(rows[taken] - lo - 1, size)
         ends += 1  # steps into its block up to each sample
         every = size | int(np.bitwise_or.reduce(ends, initial=0))
         fold = (every & -every).bit_length() - 1  # 2^fold divides every end and size
-        for d in range(0, len(offset), chunk):
-            r1, r2 = base + offset[d:d + chunk]
-            a = 0.5 * h * (r1 + r2) + _MAGNUS_C * h**2 * (r2 @ r1 - r1 @ r2)
-            del r1, r2  # free the generators before the exponential's temporaries
-            p = _expm(a)
+        for d in range(0, len(deltas), chunk):
+            table = t0 + np.multiply.outer(deltas[d:d + chunk], t1)
+            p = _expm((rows_w @ table).swapaxes(1, 2).reshape(len(rows_w), size, -1, n, n))
             for _ in range(fold):  # pair the steps as the scan's first round would
                 p = p[:, 1::2] @ p[:, ::2]
             for k in 2 ** np.arange(_BLOCK.bit_length() - 1 - fold):  # p[:, j] = steps 0 .. j
@@ -224,11 +229,9 @@ def propagate_operator(schedule, times):
 
 
 def toggling_frame(schedule, n_samples):
-    """Uniform grid over the schedule and the samples of U^dag K_z U on it.
-
-    U^dag K_z U is the toggling-frame noise operator, the integrand of the
-    noise integral m(t) = int U^dag K_z U dt'.
-    """
+    """Uniform grid over the schedule and the samples of U^dag K_z U on it: the
+    toggling-frame noise operator, the integrand of m(t) = int U^dag K_z U dt'."""
     times = np.linspace(*schedule.time_span, n_samples)
-    props = propagate_operator(schedule, times)
-    return times, np.einsum("nji,jk,nkl->nil", props.conj(), K_Z, props)
+    rows = propagate_operator(schedule, times)[:, [0, 2]]  # K_z = diag(1, 0, -1): U's rows 0, 2
+    outer = rows.conj()[..., :, None] * rows[..., None, :]
+    return times, outer[:, 0] - outer[:, 1]

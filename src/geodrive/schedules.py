@@ -15,7 +15,7 @@ import numpy as np
 
 from . import curves as _curves
 from .numerics import CubicHermite, cumulative_simpson, pchip_slopes
-from .operators import K_X, K_Y, K_Z, SQRT2, toggling_frame
+from .operators import K_X, K_Y, K_Z, toggling_frame
 
 PHASE_MODE = "phase"
 DETUNING_MODE = "detuning"
@@ -34,8 +34,8 @@ def _uniform(time):
 class _InterpolatedFields:
     """Shared plumbing: the grid and field checks, one cached PCHIP
     interpolant over the stacked ``_FIELDS`` columns, and range-checked field
-    values; each subclass builds H from them only in its vectorized
-    ``hamiltonians``."""
+    values, which each subclass maps to real ``fields(times)`` (..., f), with
+    H = sum_i fields_i ``_BASIS``_i over a constant Hermitian (f, 3, 3) basis."""
 
     def __post_init__(self):
         self.time = np.asarray(self.time, dtype=float)
@@ -88,6 +88,7 @@ class ControlSchedule(_InterpolatedFields):
     warnings: tuple = ()
 
     _FIELDS = ("omega", "delta", "phi")
+    _BASIS = np.array([K_X, K_Y, K_Z])
 
     def __post_init__(self):
         super().__post_init__()
@@ -99,13 +100,11 @@ class ControlSchedule(_InterpolatedFields):
         if self.mode == DETUNING_MODE and np.ptp(self.phi) > 1e-12:
             raise ValueError("detuning-mode schedules must have constant phi")
 
-    def hamiltonians(self, times):
-        """Vectorized Hamiltonian samples, shape (n, 3, 3)."""
+    def fields(self, times):
+        """(Omega cos phi, Omega sin phi, Delta) at ``times``, on (K_x, K_y, K_z)."""
         om, de, ph = self.values(np.asarray(times, dtype=float))
         om = np.maximum(om, 0.0)
-        return (np.multiply.outer(om * np.cos(ph), K_X)
-                + np.multiply.outer(om * np.sin(ph), K_Y)
-                + np.multiply.outer(de, K_Z))
+        return np.stack([om * np.cos(ph), om * np.sin(ph), de], axis=-1)
 
     def rescaled(self, new_duration: float) -> "ControlSchedule":
         """Uniform time rescaling t -> s t with Omega, Delta scaled by 1/s.
@@ -141,24 +140,20 @@ class TwoToneSchedule(_InterpolatedFields):
 
     _FIELDS = ("pump_omega", "stokes_omega", "pump_delta", "stokes_delta",
                "pump_phi", "stokes_phi")
+    _BASIS = (np.array([K_X, K_Y, K_X, -K_Y, K_Z, -K_Z])
+              * np.array([np.outer(v, v) for v in ([1, 1, 0], [0, 1, 1])])[[0, 0, 1, 1, 0, 1]])
 
     def __post_init__(self):
         super().__post_init__()
         if min(np.min(self.pump_omega), np.min(self.stokes_omega)) < -1e-12:
             raise ValueError("envelopes must be non-negative")
 
-    def hamiltonians(self, times):
-        """Vectorized Hamiltonian samples, shape (n, 3, 3)."""
-        times = np.asarray(times, dtype=float)
-        om_p, om_s, de_p, de_s, ph_p, ph_s = self.values(times)
-        h = np.zeros(times.shape + (3, 3), dtype=complex)
-        h[..., 0, 0] = de_p
-        h[..., 2, 2] = de_s
-        h[..., 0, 1] = om_p / SQRT2 * np.exp(-1j * ph_p)
-        h[..., 1, 0] = np.conj(h[..., 0, 1])
-        h[..., 1, 2] = om_s / SQRT2 * np.exp(1j * ph_s)
-        h[..., 2, 1] = np.conj(h[..., 1, 2])
-        return h
+    def fields(self, times):
+        """Omega cos phi, Omega sin phi of the pump, then of the Stokes tone, then the two
+        detunings: the weights of each tone's part of K_x, K_y, K_x, -K_y, K_z, -K_z."""
+        om_p, om_s, de_p, de_s, ph_p, ph_s = self.values(np.asarray(times, dtype=float))
+        return np.stack([om_p * np.cos(ph_p), om_p * np.sin(ph_p),
+                         om_s * np.cos(ph_s), om_s * np.sin(ph_s), de_p, de_s], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from geodrive.invariants import angles_from_schedule
 from geodrive.operators import K_Z, KET_MINUS1
 from geodrive.schedules import ControlSchedule
 from geodrive.simulate import relaxation_channels
+from physics import dissipator_superoperator
 
 
 @pytest.fixture(scope="session")
@@ -131,15 +132,13 @@ def _dop853_oracle(schedule, deltas, gamma=None, times=None):
             return (-1j * ((hamiltonian(t) + shifts) @ kets)).ravel()
         y0, shape = np.tile(KET_MINUS1, len(deltas)), (3,)
     else:
-        channels = [(jump, jump.conj().T, jump.conj().T @ jump) for jump in relaxation_channels()]
+        dissipator = (gamma * dissipator_superoperator(relaxation_channels())).T
 
         def rhs(t, y):
             rho = y.reshape(len(deltas), 3, 3)
             h = hamiltonian(t) + shifts
             drho = -1j * (h @ rho - rho @ h)
-            for jump, jump_dag, proj in channels:
-                drho += gamma * (jump @ rho @ jump_dag - 0.5 * (proj @ rho + rho @ proj))
-            return drho.ravel()
+            return (drho.reshape(len(deltas), 9) + rho.reshape(len(deltas), 9) @ dissipator).ravel()
         y0, shape = np.tile(np.outer(KET_MINUS1, KET_MINUS1).ravel(), len(deltas)), (3, 3)
     sol = operators._integrate(rhs, y0, t0, t1, 1e-13, 1e-15, t_eval=times)
     return sol.y.T.reshape((len(times), len(deltas)) + shape).swapaxes(0, 1)
@@ -171,30 +170,24 @@ def _per_matrix_expm(a):
 def _block_reference(schedule, y0, times, deltas, dissipator=None):
     """operators._propagate one block of _BLOCK steps at a time, all deltas at
     once, with _per_matrix_expm: the association and the arithmetic that its
-    grouped builds must keep, bit for bit."""
+    grouped builds must keep, bit for bit.  Each block's exponents are its rows
+    of operators._magnus_terms times each delta's table, as in the program."""
     ops, times = operators, np.asarray(times, dtype=float)
     grid = ops._step_grid(schedule, times)
-    dt = np.diff(grid)
-    nodes = 0.5 * (grid[1:] + grid[:-1]) + np.multiply.outer([-ops._GAUSS_OFFSET, ops._GAUSS_OFFSET], dt)
-    hams = np.ascontiguousarray(schedule.hamiltonians(nodes.ravel()), complex)
-    hams = hams.view(float).reshape(2, -1, 18)
-    embed, lift = ops._KET_LIFT if dissipator is None else ops._DENSITY_LIFT
+    embed, w, t0, t1 = ops._magnus_terms(schedule, grid, dissipator)
     n = embed.shape[1]
-    fixed = 0.0 if dissipator is None else (embed.conj().T @ dissipator @ embed).real
-    offset = np.multiply.outer(deltas, (K_Z.view(float).ravel() @ lift).reshape(n, n)) + fixed
+    tables = t0 + np.multiply.outer(np.asarray(deltas, dtype=float), t1)
     start = np.reshape(y0, (embed.shape[0], -1))
-    state = np.repeat((embed.conj().T @ start).real[None], len(offset), axis=0)
+    state = np.repeat((embed.conj().T @ start).real[None], len(tables), axis=0)
     rows = np.searchsorted(grid, times)
-    samples = np.empty((len(offset), times.size) + start.shape, dtype=complex)
+    samples = np.empty((len(tables), times.size) + start.shape, dtype=complex)
     samples[:, 0] = start
-    for lo in range(0, dt.size, ops._BLOCK):
-        h = dt[lo:lo + ops._BLOCK, None, None, None]
-        base = (hams[:, lo:lo + ops._BLOCK] @ lift).reshape(2, -1, 1, n, n)
-        r1, r2 = base + offset
-        p = _per_matrix_expm(0.5 * h * (r1 + r2) + ops._MAGNUS_C * h**2 * (r2 @ r1 - r1 @ r2))
+    for lo in range(0, len(w), ops._BLOCK):
+        a = (w[lo:lo + ops._BLOCK] @ tables).swapaxes(0, 1)  # (steps, deltas, n^2)
+        p = _per_matrix_expm(a.reshape(a.shape[:2] + (n, n)))
         taken = np.flatnonzero((rows > lo) & (rows <= lo + ops._BLOCK))
         ends = rows[taken] - lo
-        every = len(h) | int(np.bitwise_or.reduce(ends, initial=0))
+        every = len(p) | int(np.bitwise_or.reduce(ends, initial=0))
         fold = (every & -every).bit_length() - 1
         for _ in range(fold):
             p = p[1::2] @ p[::2]

@@ -1,5 +1,6 @@
 """Reference formulas and the paper's identities that the tests check the package
-against: the scalar H, the invariant equation, mode phases and the angle rebuild."""
+against: the scalar H, H from a schedule's fields, the relaxation dissipator, the
+invariant equation, mode phases and the angle rebuild."""
 
 import numpy as np
 
@@ -7,6 +8,10 @@ from geodrive.invariants import InvariantAngles, evolution_operator, invariant_e
 from geodrive.numerics import cumulative_simpson
 from geodrive.operators import IDENTITY3, K_X, K_Y, K_Z, SQRT2
 from geodrive.schedules import ControlSchedule, TwoToneSchedule
+
+#: the basis kets |0> and |+1> (|-1> is operators.KET_MINUS1)
+KET_0 = np.array([0, 1, 0], dtype=complex)
+KET_PLUS1 = np.array([0, 0, 1], dtype=complex)
 
 
 def hamiltonian(omega: float, delta: float, phi: float) -> np.ndarray:
@@ -20,12 +25,28 @@ def hamiltonian(omega: float, delta: float, phi: float) -> np.ndarray:
     return omega * np.cos(phi) * K_X + omega * np.sin(phi) * K_Y + delta * K_Z
 
 
+def hamiltonians(schedule, times) -> np.ndarray:
+    """H at ``times`` from a schedule's real ``fields`` on its ``_BASIS``, shape (..., 3, 3):
+    the H that every solve steps with."""
+    return np.tensordot(schedule.fields(np.asarray(times, dtype=float)), schedule._BASIS, 1)
+
+
 def constant_schedule(omega: float, delta: float, phi: float) -> ControlSchedule:
-    """Detuning-mode schedule with constant fields: its ``hamiltonians`` is the program's H."""
+    """Detuning-mode schedule with constant fields, for comparing the program's H with
+    the scalar formula."""
     time = np.linspace(0.0, 1.0, 501)
     return ControlSchedule(time=time, omega=np.full(time.size, omega),
                            delta=np.full(time.size, delta), phi=np.full(time.size, phi),
                            mode="detuning")
+
+
+def dissipator_superoperator(jumps) -> np.ndarray:
+    """sum_k L_k rho L_k^dag - {L_k^dag L_k, rho} / 2 as a (9, 9) matrix on row-major
+    vec(rho), where vec(A rho B) = (A (x) B^T) vec(rho)."""
+    eye = np.eye(3)
+    return sum(np.kron(jump, jump.conj()) - 0.5 * (np.kron(jump.conj().T @ jump, eye)
+                                                   + np.kron(eye, (jump.conj().T @ jump).T))
+               for jump in jumps)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,7 +98,7 @@ def invariant_defect(schedule, angles: InvariantAngles):
     dt = angles.time[1] - angles.time[0]
     di = (-i_op[4:] + 8.0 * i_op[3:-1] - 8.0 * i_op[1:-3] + i_op[:-4]) / (12.0 * dt)
     interior = angles.time[2:-2]
-    hams = schedule.hamiltonians(interior)
+    hams = hamiltonians(schedule, interior)
     comm = np.matmul(i_op[2:-2], hams) - np.matmul(hams, i_op[2:-2])
     defect = di - 1j * comm
     return np.linalg.norm(defect, axis=(1, 2)) / SQRT2
@@ -96,7 +117,7 @@ def lr_phase_series(schedule, angles: InvariantAngles, mode_index: int = 1):
     dt = angles.time[1] - angles.time[0]
     dstates = np.gradient(states, dt, axis=0, edge_order=2)
     inner_dt = np.einsum("nj,nj->n", states.conj(), dstates)
-    hams = schedule.hamiltonians(angles.time)
+    hams = hamiltonians(schedule, angles.time)
     inner_h = np.einsum("nj,njk,nk->n", states.conj(), hams, states)
     integrand = (1j * inner_dt - inner_h).real
     return cumulative_simpson(integrand, angles.time)

@@ -16,8 +16,9 @@ from geodrive.operators import K_X, K_Y, K_Z, propagate_operator
 from geodrive.schedules import noise_term, roundtrip_deviation
 from geodrive.simulate import (NoiseModel, infidelity_scaling_exponent,
                                overlap_fidelity, run_lindblad, run_schrodinger)
-from physics import (commutator, constant_schedule, hamiltonian, invariant_defect,
-                     lr_phase_series, propagator_rebuild_error, unitarity_defect)
+from physics import (commutator, constant_schedule, hamiltonian, hamiltonians,
+                     invariant_defect, lr_phase_series, propagator_rebuild_error,
+                     unitarity_defect)
 
 GAMMA_NV = 0.002
 
@@ -171,7 +172,7 @@ def test_criterion_09_algebra_and_properties():
         h = hamiltonian(*fields)
         herm_ok &= np.linalg.norm(h - h.conj().T) <= 1e-12
         # the H that the solves step with, from the schedule's interpolant
-        program = constant_schedule(*fields).hamiltonians(np.array([0.0, 0.37, 1.0]))
+        program = hamiltonians(constant_schedule(*fields), [0.0, 0.37, 1.0])
         program_ok &= (np.max(np.abs(program - h)) <= 1e-14 and np.max(np.linalg.norm(
             program - program.conj().swapaxes(1, 2), axis=(1, 2))) <= 1e-14)
     crit.check("random Hamiltonians Hermitian <= 1e-12", herm_ok)

@@ -6,12 +6,11 @@ import pytest
 from scipy.linalg import expm
 
 from geodrive import operators
-from geodrive.operators import (K_X, K_Y, K_Z, KET_MINUS1, KET_0, KET_PLUS1,
-                                IntegrationFailure, norm_defect, propagate_operator,
-                                propagate_state)
+from geodrive.operators import (K_X, K_Y, K_Z, KET_MINUS1, IntegrationFailure, norm_defect,
+                                propagate_operator, propagate_state)
 from geodrive.simulate import _RELAXATION
-from physics import (commutator, constant_schedule, hamiltonian, scaled_frobenius_norm,
-                     unitarity_defect)
+from physics import (KET_0, KET_PLUS1, commutator, constant_schedule, hamiltonian, hamiltonians,
+                     scaled_frobenius_norm, unitarity_defect)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -82,7 +81,7 @@ class TestHamiltonian:
         times = np.array([0.0, 0.37, 1.0])
         for _ in range(25):
             fields = rng.uniform(0, 10), rng.uniform(-10, 10), rng.uniform(-7, 7)
-            hams = constant_schedule(*fields).hamiltonians(times)
+            hams = hamiltonians(constant_schedule(*fields), times)
             assert np.max(np.abs(hams - hamiltonian(*fields))) <= 1e-14
             assert np.max(np.linalg.norm(hams - hams.conj().swapaxes(1, 2), axis=(1, 2))) <= 1e-14
 
@@ -105,15 +104,16 @@ class TestScaledFrobeniusNorm:
 
 
 class _ConstantDrive:
-    """Minimal schedule stand-in: constant H over [0, duration], knots every 0.25."""
+    """Minimal schedule stand-in: constant H over [0, duration], knots every 0.25;
+    its one field is 1 on the basis matrix H."""
 
     def __init__(self, h, duration):
-        self._h = h
+        self._BASIS = np.array([h])
         self.time = np.linspace(0.0, duration, int(np.ceil(duration / 0.25)) + 1)
         self.time_span = (0.0, duration)
 
-    def hamiltonians(self, times):
-        return np.broadcast_to(self._h, np.shape(times) + (3, 3))
+    def fields(self, times):
+        return np.ones(np.shape(times) + (1,))
 
 
 def final_state(drive, psi, t0, t1):
@@ -173,10 +173,10 @@ class TestPropagation:
         class Blowup(_ConstantDrive):
             """H turns infinite at t = 0.6."""
 
-            def hamiltonians(self, times):
-                h = np.array(super().hamiltonians(times))
-                h[np.asarray(times) >= 0.6] = np.inf
-                return h
+            def fields(self, times):
+                f = super().fields(times)
+                f[np.asarray(times) >= 0.6] = np.inf
+                return f
 
         with pytest.raises(IntegrationFailure, match="non-finite") as err:
             final_state(Blowup(K_X, 1.0), KET_MINUS1, 0.0, 1.0)
@@ -274,11 +274,6 @@ def _realify(h):
 _T = operators._HERMITIAN_BASIS.reshape(9, 9).conj()
 
 
-def _lifted(h, lift, n):
-    """A stack of H through a lift table: its 18 floats times the table, as (n, n)."""
-    return (h.view(float).reshape(len(h), 18) @ lift).reshape(len(h), n, n)
-
-
 class TestRealCoordinates:
     def test_hermitian_basis_orthonormal(self):
         basis = operators._HERMITIAN_BASIS
@@ -297,16 +292,38 @@ class TestRealCoordinates:
 
     def test_ket_lift_is_realified_generator(self, rng):
         h = _hermitian_stack(rng, 20)
-        assert np.array_equal(_lifted(h, operators._KET_LIFT[1], 6), _realify(h))
+        assert np.array_equal(operators._real_lift(*operators._KET_LIFT, h), _realify(h))
 
     def test_lindblad_lift_matches_liouvillian(self, rng):
         h = _hermitian_stack(rng, 20)
-        embed, lift = operators._DENSITY_LIFT
-        assert np.array_equal(embed, _T.conj().T)
+        assert np.array_equal(operators._DENSITY_LIFT[0], _T.conj().T)
         dissipator = (_T @ _RELAXATION @ _T.conj().T).real
         expected = _T @ _lindblad_generator(h, _RELAXATION) @ _T.conj().T
         assert np.max(np.abs(expected.imag)) <= 1e-14
-        assert np.max(np.abs(_lifted(h, lift, 9) + dissipator - expected)) <= 1e-14
+        lifted = operators._real_lift(*operators._DENSITY_LIFT, h)
+        assert np.max(np.abs(lifted + dissipator - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("equation", ["ket", "density"])
+    @pytest.mark.parametrize("scheme", ["natural_schedule", "detuning_schedule", "stirap", "srt"])
+    def test_field_rows_match_matrix_exponent(self, request, scheme, equation):
+        # A = h/2 (R1 + R2) + sqrt(3)/12 h^2 [R2, R1] with R lifted from the tests' H
+        schedule, delta = request.getfixturevalue(scheme), 0.3
+        dissipator = None if equation == "ket" else 0.004 * _RELAXATION
+        grid = operators._step_grid(schedule, np.linspace(*schedule.time_span, 201))
+        embed, w, t0, t1 = operators._magnus_terms(schedule, grid, dissipator)
+        n = embed.shape[1]
+        ours = (w @ (t0 + delta * t1)).reshape(-1, n, n)
+        h = np.diff(grid)[:, None, None]
+        mid = 0.5 * (grid[1:] + grid[:-1])
+        generators = []
+        for node in (mid - np.sqrt(3.0) / 6.0 * h[:, 0, 0], mid + np.sqrt(3.0) / 6.0 * h[:, 0, 0]):
+            k = hamiltonians(schedule, node) + delta * K_Z
+            generators.append(_realify(k) if dissipator is None else
+                              (_T @ _lindblad_generator(k, dissipator) @ _T.conj().T).real)
+        r1, r2 = generators
+        matrix_form = 0.5 * h * (r1 + r2) + np.sqrt(3.0) / 12.0 * h**2 * (r2 @ r1 - r1 @ r2)
+        err = np.linalg.norm(ours - matrix_form, axis=(1, 2))
+        assert np.max(err / np.linalg.norm(matrix_form, axis=(1, 2))) <= 1e-14
 
     @pytest.mark.parametrize("equation", ["ket", "density"])
     def test_batch_member_bitwise_equal_to_single_delta(self, sta, equation):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from geodrive import operators, simulate
-from geodrive.operators import KET_0
 from geodrive.schedules import ControlSchedule
 from geodrive.simulate import (NoiseModel, infidelity_scaling_exponent,
                                overlap_fidelity, relaxation_channels,
                                run_lindblad, run_schrodinger, sweep_delta)
+from physics import KET_0, dissipator_superoperator
 
 GAMMA_NV = 0.002  # 2 kHz in rad/us
 
@@ -51,6 +51,18 @@ class TestLindblad:
     def test_channels_connect_center_level_only(self):
         for op in relaxation_channels():
             assert op[0, 2] == 0 and op[2, 0] == 0  # no direct -1 <-> +1 jumps
+
+    def test_oracle_superoperator_matches_channel_sum(self, rng):
+        # the DOP853 oracle's one (9, 9) dissipator against the per-channel sum
+        z = rng.normal(size=(20, 3, 3)) + 1j * rng.normal(size=(20, 3, 3))
+        rho = z @ z.conj().swapaxes(1, 2)
+        rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+        expected = sum(jump @ rho @ jump.conj().T
+                       - 0.5 * (jump.conj().T @ jump @ rho + rho @ jump.conj().T @ jump)
+                       for jump in relaxation_channels())
+        superoperator = dissipator_superoperator(relaxation_channels())
+        got = (rho.reshape(20, 9) @ superoperator.T).reshape(20, 3, 3)
+        assert np.max(np.abs(got - expected)) <= 1e-15
 
     def test_matches_schrodinger_without_relaxation(self, scaled_schedule):
         noise = NoiseModel(delta=0.4)
