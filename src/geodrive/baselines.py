@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import KET_MINUS1, SQRT2, propagate_state
+from .operators import SQRT2
 from .schedules import (DETUNING_MODE, MIN_GRID, ControlSchedule,
                         TwoToneSchedule)
 
@@ -33,7 +33,7 @@ class SrtParams:
 
     rabi: float = TWO_SQRT2_PI          # lab-frame Omega for both tones
     detuning: float = 8.0 * np.pi       # common intermediate-level detuning
-    duration: float = None              # None: first simulated P_+1 maximum
+    duration: float = None              # None: first P_+1 maximum
 
     def __post_init__(self):
         if self.rabi < 0:
@@ -95,14 +95,16 @@ def _constant_two_tone(amplitude, detuning, duration, n_samples, warnings=()):
 
 
 def _first_population_maximum(schedule, smooth_window):
-    """Time of the first local maximum of P_+1(t), ripple-smoothed."""
+    """Time of the first local maximum of P_+1(t), ripple-smoothed.  The schedule is
+    constant, so P_+1(t) = |sum_k V_2k conj(V_0k) exp(-i e_k t)|^2 from one ``eigh``
+    H = V diag(e) V^dag: a closed form that picks a parameter, not an output path."""
     n_probe = 3001
     grid = np.linspace(*schedule.time_span, n_probe)
-    states = propagate_state(schedule, KET_MINUS1, grid)
-    p_plus = np.abs(states[:, 2]) ** 2
+    e, v = np.linalg.eigh(np.tensordot(schedule.fields(grid[:1])[0], schedule._BASIS, 1))
+    amplitude = (np.exp(-1j * np.outer(grid - grid[0], e)) * (v[2] * v[0].conj())).sum(axis=1)
+    p_plus = np.abs(amplitude) ** 2  # a sum, not a BLAS product, which may start threads
     win = max(3, int(round(smooth_window / (grid[1] - grid[0]))))
-    kernel = np.ones(win) / win
-    smooth = np.convolve(p_plus, kernel, mode="same")
+    smooth = np.convolve(p_plus, np.ones(win) / win, mode="same")
     for i in range(1, n_probe - 1):
         if smooth[i] >= smooth[i - 1] and smooth[i] > smooth[i + 1] and smooth[i] > 0.5:
             lo, hi = max(i - win, 0), min(i + win, n_probe)
@@ -116,7 +118,7 @@ def srt_schedule(params: SrtParams = None, n_samples: int = MIN_GRID,
 
     Both tones are detuned by the same amount from the intermediate level
     (two-photon resonance between |-1> and |+1>).  With no duration given,
-    the schedule stops at the first simulated maximum of P_+1, which the
+    the schedule stops at the first maximum of P_+1, which the
     ac-Stark corrections shift slightly away from pi / Omega_eff, with the
     two-photon Rabi frequency Omega_eff = rabi^2 / (2 |detuning|).
     """

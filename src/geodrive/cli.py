@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__, curves
 from .config import ANGULAR, CONVENTIONS
-from .invariants import InconsistentAnglesError
 from .operators import IntegrationFailure
 from .scenarios import (Scenario, ScenarioError, build_schedule,
                         geometric_pipeline, load_scenario)
@@ -27,7 +26,7 @@ from .simulate import (SOLVER, NoiseModel, infidelity_scaling_exponent, run_lind
                        run_schrodinger, sweep_delta)
 
 #: failures confined to one scheme, recorded in its entry while the command goes on
-SCHEME_ERRORS = (IntegrationFailure, InconsistentAnglesError, ValueError)
+SCHEME_ERRORS = (IntegrationFailure, ValueError)
 
 
 def _fmt(value) -> str:

@@ -300,13 +300,14 @@ def reparametrize_by_arclength(curve) -> ArcLengthCurve:
     """
     if isinstance(curve, ArcLengthCurve):
         return curve
+    edges = np.linspace(0.0, 1.0, _N_QUAD + 1)
+    half = 0.5 / _N_QUAD
+    quad_d = ((edges[:-1] + half)[:, None] + half * _NODES).ravel()
     with np.errstate(all="ignore"):  # the isfinite checks report a pole or an overflow
-        if not np.all(np.isfinite(curve.position(np.linspace(0.0, 1.0, 10_000)))):
+        position, velocity = curve.derivatives(np.concatenate([quad_d, [0.0, 1.0]]), 1)  # nodes, ends
+        if not np.all(np.isfinite(position)):
             raise DegenerateCurveError(f"curve {curve.name!r} produced non-finite samples")
-        edges = np.linspace(0.0, 1.0, _N_QUAD + 1)
-        half = 0.5 / _N_QUAD
-        quad_d = ((edges[:-1] + half)[:, None] + half * _NODES).ravel()
-        speeds = np.linalg.norm(curve.derivatives(quad_d, 1)[1], axis=1).reshape(_N_QUAD, _GL_ORDER)
+        speeds = np.linalg.norm(velocity[:-2], axis=1).reshape(_N_QUAD, _GL_ORDER)
         if not np.all(np.isfinite(speeds)):
             raise DegenerateCurveError(f"curve {curve.name!r} is not rectifiable")
         cumulative = np.concatenate([[0.0], np.cumsum((speeds * _WEIGHTS).sum(axis=1) * half)])

@@ -48,9 +48,14 @@ _DENSITY_LIFT = (_HERMITIAN_BASIS.reshape(9, 9).T, lambda h: -1j * (
 #: Gauss-Legendre nodes of a step [t, t + h] sit at mid -+ _GAUSS_OFFSET h
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _MAGNUS_C = np.sqrt(3.0) / 12.0
-_BLOCK = 64  # steps per prefix product: fixes the association, so batch members round as singles
+_BLOCK = 64  # steps per up-sweep tree: fixes the association, so batch members round as singles
 _ENTRIES = 2**14  # exponent entries, steps x deltas x n^2, per build: bounds the temporaries
 _TAYLOR = 1.0 / np.cumprod([1.0, *range(1, 13)])  # 1/k!, k = 0..12, for _expm
+#: _taylor8's x1..x7 and y2 (Bader, Blanes and Casas, Mathematics 7, 1174 (2019)), with
+#: x3 = 2/3 substituted and x1 = 4 x2; its truncation is below 2^-53 up to 1-norm _THETA8
+_THETA8, _R = 0.0686, np.sqrt(177.0)
+_X2, _X3, _X4, _X5 = (1 + _R) / 528, 2.0 / 3.0, (29 * _R - 271) / 210, 11 * (_R - 1) / 840
+_X6, _X7, _Y2 = 11 * (_R - 9) / 3360, (89 - _R) / 2240, (857 - 58 * _R) / 630
 
 
 class IntegrationFailure(RuntimeError):
@@ -103,22 +108,40 @@ def _integrate(rhs, y0, t0, t1, rtol, atol, t_eval=None):
     return sol
 
 
-def _expm(a):
-    """exp(a) for a stack (..., n, n): degree-12 Taylor, scaling and squaring.
+def _taylor8(a):
+    """The degree-8 Taylor polynomial I + a + y2 a2 + (x3 a2 + a4)(x4 I + x5 a + x6 a2
+    + x7 a4) of a stack, a2 = a^2 and a4 = x2 b, b = a2 (a2 + 4 a): three matmuls."""
+    n, a2 = a.shape[-1], a @ a
+    b = a2 @ (4.0 * a + a2)
+    left = b + _X3 / _X2 * a2
+    right = np.multiply(b, _X2 * _X2 * _X7)  # x2 moved into the right factor
+    right += np.multiply(a2, _X2 * _X6, out=b)
+    right += np.multiply(a, _X2 * _X5, out=b)
+    right.reshape(right.shape[:-2] + (n * n,))[..., ::n + 1] += _X2 * _X4
+    out = np.matmul(left, right, out=b)
+    out += np.multiply(a2, _Y2, out=left)
+    out += a
+    out.reshape(out.shape[:-2] + (n * n,))[..., ::n + 1] += 1.0
+    return out
 
-    Each matrix is scaled by its own power of two to 1-norm <= 1/4, where the
-    truncation error is below 3e-18, so a result never depends on its batch
-    neighbours.  n max|a_ij| bounds every 1-norm: when it is below 1/4 for the
-    whole stack, no matrix scales, and the per-matrix norms are skipped.  The
-    polynomial is evaluated Paterson-Stockmeyer style, from a^2, a^3, a^4 and
-    two Horner products in a^4: five matmuls in all.  Each Horner stage runs in
-    place, with the identity term added on the diagonal.
-    """
-    n, squarings = a.shape[-1], 0
-    if n * np.abs(a).max(initial=0.0) >= 0.25 * (1 - 2**-40):  # margin for the sums' rounding
-        squarings = np.maximum(np.frexp(4.0 * np.abs(a).sum(axis=-2).max(axis=-1))[1], 0)
-        a = a * np.ldexp(1.0, -squarings)[..., None, None]
-    a2 = a @ a
+
+def _expm(a):
+    """exp(a) for a stack (..., n, n), each matrix by its own 1-norm: :func:`_taylor8` at
+    or below _THETA8, else a degree-12 Taylor polynomial (truncation below 3e-18) after
+    scaling by a power of two to 1-norm <= 1/4, then squaring; so no result depends on its
+    batch.  n max|a_ij| bounds every 1-norm: below _THETA8, the norms are skipped."""
+    n = a.shape[-1]
+    if n * np.abs(a).max(initial=0.0) < _THETA8 * (1 - 2**-40):  # margin for the sums' rounding
+        return _taylor8(a)
+    norms = np.einsum("...ij->...j", np.abs(a)).max(axis=-1)  # sum(axis=-2) is 4x slower here
+    low = norms <= _THETA8
+    if low.all():
+        return _taylor8(a)
+    result = np.empty_like(a)
+    result[low] = _taylor8(a[low])
+    squarings = np.maximum(np.frexp(4.0 * norms[~low])[1], 0)
+    a = a[~low] * np.ldexp(1.0, -squarings)[..., None, None]
+    a2 = a @ a  # Paterson-Stockmeyer from a^2, a^3, a^4, two Horner stages in a^4
     a3, a4 = a2 @ a, a2 @ a2
     c = _TAYLOR  # terms summed smallest first, so the identity's rounding comes once
     out, scratch = c[12] * a4, np.empty_like(a4)
@@ -131,7 +154,8 @@ def _expm(a):
     for i in range(np.max(squarings, initial=0)):
         more = squarings > i
         out[more] = out[more] @ out[more]
-    return out
+    result[~low] = out
+    return result
 
 
 def _magnus_terms(schedule, grid, dissipator=None):
@@ -167,49 +191,55 @@ def _propagate(schedule, y0, times, deltas, dissipator=None, grid=None):
     density matrix, stepped in real coordinates by one Magnus step exp(A)
     (:func:`_magnus_terms`, :func:`_expm`) per interval of :func:`_step_grid`, so
     each step lies in one PCHIP piece.  Each (block of _BLOCK steps, delta) gets
-    its A from one (steps x m) @ (m x n^2) product and its running product from a
-    doubling prefix scan, after folding step pairs while every sample falls on a
-    pair boundary: the same arithmetic in any batch and any build of consecutive
-    blocks (scan entry (i + 1) 2^f - 1 holds the product of f folds), so the same
-    bits.  A short loop carries the state from block to block; only the sample
-    rows are stored, (len(deltas), len(times)) + y0.shape, never renormalized.  A
-    caller that needs the step count passes ``grid = _step_grid(schedule, times)``.
+    its A from one (steps x m) @ (m x n^2) product (identity steps fill the last
+    block up, and the last sample follows them) and its product from a pairwise
+    up-sweep; a short loop carries the state from block to block.  A build that
+    holds samples sweeps down on states while every sample ends a node: an odd
+    child takes its parent's end state, an even child its node times the state
+    entering the parent.  The same arithmetic in any batch and any build of
+    consecutive blocks, so the same bits.  Only the sample rows are stored,
+    (len(deltas), len(times)) + y0.shape, never renormalized.  A caller that needs
+    the step count passes ``grid = _step_grid(schedule, times)``.
     """
     times = np.asarray(times, dtype=float)
     grid = _step_grid(schedule, times) if grid is None else grid
     embed, w, t0, t1 = _magnus_terms(schedule, grid, dissipator)
-    n, steps = embed.shape[1], len(w)
+    n = embed.shape[1]
+    w = np.concatenate([w, np.zeros((-len(w) % _BLOCK, w.shape[1]))])  # identity steps fill up
     start = np.reshape(y0, (embed.shape[0], -1))
     state = np.repeat((embed.conj().T @ start).real[None], len(deltas), axis=0)
-    rows = np.searchsorted(grid, times)
+    rows = np.append(np.searchsorted(grid, times[1:-1]), len(w))  # steps to each later sample
     samples = np.empty((len(deltas), times.size) + start.shape, dtype=complex)
     samples[:, 0] = start
     chunk = max(1, _ENTRIES // (_BLOCK * n * n))  # deltas per build
-    per_build = max(1, chunk // max(1, len(deltas)))  # blocks per build
-    full = steps - steps % _BLOCK  # then the partial last block is a build of its own
-    cuts = sorted({*range(0, full, per_build * _BLOCK), full, steps})
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        size = min(_BLOCK, hi - lo)
-        rows_w = w[lo:hi].reshape(-1, 1, size, w.shape[1])
-        taken = np.flatnonzero((rows > lo) & (rows <= hi))
-        block, ends = np.divmod(rows[taken] - lo - 1, size)
+    build = _BLOCK * max(1, chunk // max(1, len(deltas)))  # steps per build
+    for lo in range(0, len(w), build):
+        rows_w = w[lo:lo + build].reshape(-1, 1, _BLOCK, w.shape[1])
+        taken = np.flatnonzero((rows > lo) & (rows <= lo + build))
+        block, ends = np.divmod(rows[taken] - lo - 1, _BLOCK)
         ends += 1  # steps into its block up to each sample
-        every = size | int(np.bitwise_or.reduce(ends, initial=0))
-        fold = (every & -every).bit_length() - 1  # 2^fold divides every end and size
+        every = _BLOCK | int(np.bitwise_or.reduce(ends, initial=0))
+        fold = (every & -every).bit_length() - 1  # 2^fold divides every end
         for d in range(0, len(deltas), chunk):
             table = t0 + np.multiply.outer(deltas[d:d + chunk], t1)
-            p = _expm((rows_w @ table).swapaxes(1, 2).reshape(len(rows_w), size, -1, n, n))
-            for _ in range(fold):  # pair the steps as the scan's first round would
-                p = p[:, 1::2] @ p[:, ::2]
-            for k in 2 ** np.arange(_BLOCK.bit_length() - 1 - fold):  # p[:, j] = steps 0 .. j
-                p[:, k:] = p[:, k:] @ p[:, :-k]
-            starts = np.empty((len(p) + 1,) + state[d:d + chunk].shape)  # each block's start
+            levels = [_expm((rows_w @ table).swapaxes(1, 2).reshape(len(rows_w), _BLOCK, -1, n, n))]
+            while levels[-1].shape[1] > 1:  # node i of level k: steps i 2^k .. (i + 1) 2^k - 1
+                levels.append(levels[-1][:, 1::2] @ levels[-1][:, ::2])
+            starts = np.empty((len(rows_w) + 1,) + state[d:d + chunk].shape)  # each block's start
             starts[0] = state[d:d + chunk]
-            for j in range(len(p)):
-                np.matmul(p[j, -1], starts[j], out=starts[j + 1])
+            for j, product in enumerate(levels.pop()[:, 0]):
+                np.matmul(product, starts[j], out=starts[j + 1])
             state[d:d + chunk] = starts[-1]
-            reached = p[block, (ends >> fold) - 1] @ starts[block]
-            samples[d:d + chunk, taken] = (embed @ reached).swapaxes(0, 1)
+            if not taken.size:
+                continue
+            out = starts[1:, None]  # each node's end state, from the root down
+            for p in reversed(levels[fold:]):
+                enter = np.concatenate([starts[:-1, None], out[:, :-1]], axis=1)
+                out = np.repeat(out, 2, axis=1)
+                out[:, ::2] = p[:, ::2] @ enter
+            reached = out[block, (ends >> fold) - 1].swapaxes(0, 1)
+            samples.real[d:d + chunk, taken + 1] = embed.real @ reached
+            samples.imag[d:d + chunk, taken + 1] = embed.imag @ reached
     return samples.reshape(samples.shape[:2] + np.shape(y0))
 
 

@@ -134,11 +134,14 @@ def _infidelities(schedule, deltas):
     """||psi_d - <psi_0|psi_d> psi_0||^2 per delta, psi_d = |psi(T; d)> from |-1>.
 
     One stepper call.  Equal to 1 - |<psi_0|psi_d>|^2 for unit states, but a
-    sum of squares does not cancel to rounding noise at small delta.
+    sum of squares does not cancel to rounding noise at small delta.  psi_0 is solved
+    once per schedule, in the first call's batch, and kept in its ``__dict__``.
     """
+    known = "_unperturbed_final" in schedule.__dict__
     finals = propagate_state(schedule, KET_MINUS1, schedule.time_span,
-                             delta=np.concatenate([[0.0], deltas]))[:, -1]
-    ref, perturbed = finals[0], finals[1:]
+                             delta=deltas if known else [0.0, *deltas])[:, -1]
+    ref = schedule.__dict__.setdefault("_unperturbed_final", finals[0])
+    perturbed = finals if known else finals[1:]
     residual = perturbed - np.outer(perturbed @ ref.conj(), ref)
     return np.sum(np.abs(residual) ** 2, axis=1)
 

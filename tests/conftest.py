@@ -150,50 +150,64 @@ def block_reference():
 
 
 def _per_matrix_expm(a):
-    """operators._expm with each matrix's own 1-norm and the polynomial in
-    expression form: the arithmetic that its whole-stack bound and in-place
-    Horner stages must keep, bit for bit."""
-    squarings = np.maximum(np.frexp(4.0 * np.abs(a).sum(axis=-2).max(axis=-1))[1], 0)
+    """operators._expm with each matrix's own 1-norm and the polynomials in
+    expression form: the degree 8 of operators._taylor8 at or below
+    operators._THETA8, else the degree 12 after scaling to 1-norm <= 1/4.  The
+    arithmetic that its whole-stack bound, its split of a mixed stack and its
+    in-place stages must keep, bit for bit."""
+    ops, eye = operators, np.eye(a.shape[-1])
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    x2, x3, x4, x5, x6, x7, y2 = (ops._X2, ops._X3, ops._X4, ops._X5, ops._X6, ops._X7, ops._Y2)
+    a2 = a @ a
+    b = a2 @ (4.0 * a + a2)  # a4 / x2
+    a8 = (x3 / x2 * a2 + b) @ (x2 * x2 * x7 * b + x2 * x6 * a2 + x2 * x5 * a + x2 * x4 * eye)
+    degree8 = a8 + y2 * a2 + a + eye
+
+    squarings = np.maximum(np.frexp(4.0 * norms)[1], 0)
     a = a * np.ldexp(1.0, -squarings)[..., None, None]
     a2 = a @ a
     a3, a4 = a2 @ a, a2 @ a2
-    eye, c = np.eye(a.shape[-1]), operators._TAYLOR
+    c = ops._TAYLOR
     tail = c[12] * a4 + c[11] * a3 + c[10] * a2 + c[9] * a + c[8] * eye
     tail = a4 @ tail + c[7] * a3 + c[6] * a2 + c[5] * a + c[4] * eye
     out = a4 @ tail + c[3] * a3 + c[2] * a2 + a + eye
     for i in range(squarings.max(initial=0)):
         more = squarings > i
         out[more] = out[more] @ out[more]
-    return out
+    return np.where((norms <= ops._THETA8)[..., None, None], degree8, out)
 
 
 def _block_reference(schedule, y0, times, deltas, dissipator=None):
     """operators._propagate one block of _BLOCK steps at a time, all deltas at
     once, with _per_matrix_expm: the association and the arithmetic that its
     grouped builds must keep, bit for bit.  Each block's exponents are its rows
-    of operators._magnus_terms times each delta's table, as in the program."""
+    of operators._magnus_terms times each delta's table, as in the program, and
+    zero rows fill the last block up; the last sample is read after them.  The
+    block's product is a pairwise up-sweep, and every step's end state comes
+    from a full down-sweep: an odd child takes its parent's end state, an even
+    child its node times the state that enters its parent."""
     ops, times = operators, np.asarray(times, dtype=float)
     grid = ops._step_grid(schedule, times)
     embed, w, t0, t1 = ops._magnus_terms(schedule, grid, dissipator)
     n = embed.shape[1]
+    w = np.concatenate([w, np.zeros((-len(w) % ops._BLOCK, w.shape[1]))])
     tables = t0 + np.multiply.outer(np.asarray(deltas, dtype=float), t1)
     start = np.reshape(y0, (embed.shape[0], -1))
     state = np.repeat((embed.conj().T @ start).real[None], len(tables), axis=0)
-    rows = np.searchsorted(grid, times)
+    rows = np.append(np.searchsorted(grid, times[:-1]), len(w))
     samples = np.empty((len(tables), times.size) + start.shape, dtype=complex)
-    samples[:, 0] = start
     for lo in range(0, len(w), ops._BLOCK):
         a = (w[lo:lo + ops._BLOCK] @ tables).swapaxes(0, 1)  # (steps, deltas, n^2)
-        p = _per_matrix_expm(a.reshape(a.shape[:2] + (n, n)))
+        tree = [_per_matrix_expm(a.reshape(a.shape[:2] + (n, n)))]
+        while len(tree[-1]) > 1:
+            tree.append(tree[-1][1::2] @ tree[-1][::2])
+        ends = tree.pop() @ state  # the end state of each node of a level, from the root
+        for p in reversed(tree):
+            enter = [state, *ends[:-1]]
+            ends = np.array([p[i] @ enter[i // 2] if i % 2 == 0 else ends[i // 2]
+                             for i in range(len(p))])
+        state = ends[-1]
         taken = np.flatnonzero((rows > lo) & (rows <= lo + ops._BLOCK))
-        ends = rows[taken] - lo
-        every = len(p) | int(np.bitwise_or.reduce(ends, initial=0))
-        fold = (every & -every).bit_length() - 1
-        for _ in range(fold):
-            p = p[1::2] @ p[::2]
-        for k in 2 ** np.arange(ops._BLOCK.bit_length() - 1 - fold):
-            p[k:] = p[k:] @ p[:-k]
-        p = p @ state
-        state = p[-1]
-        samples[:, taken] = (embed @ p[(ends >> fold) - 1]).swapaxes(0, 1)
+        samples[:, taken] = (embed @ ends[rows[taken] - lo - 1]).swapaxes(0, 1)
+    samples[:, 0] = start
     return samples.reshape(samples.shape[:2] + np.shape(y0))

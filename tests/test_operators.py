@@ -357,7 +357,11 @@ def _at_one_norm(a, norm):
     return a * (norm / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
 
 
-EXPM_NORMS = [0.0, 1e-3, 0.1, 0.25, 3.0, 30.0]  # 3 and 30 need squaring
+THETA8 = operators._THETA8
+# either side of the degree-8 bound theta_8 and of the degree-12 scaling bound 1/4;
+# 3 and 30 need squaring
+EXPM_NORMS = [0.0, 1e-3, THETA8 * (1 - 1e-9), THETA8 * (1 + 1e-9), 0.1,
+              0.25 * (1 - 1e-9), 0.25, 0.25 * (1 + 1e-9), 3.0, 30.0]
 
 
 class TestExpm:
@@ -399,19 +403,33 @@ class TestExpm:
                 assert np.array_equal(member, operators._expm(m[None])[0])
 
     def test_stack_below_the_bound_matches_per_matrix_scaling(self, rng):
-        # n max|a_ij| < 1/4 over the whole stack: no member scales, and the norms
-        # are skipped; beside a member that squares, each takes the per-matrix path
+        # n max|a_ij| < theta_8 over the whole stack: every member takes the degree-8
+        # polynomial, and the norms are skipped; beside a member that squares, each
+        # takes the per-matrix path
         for a in self.stacks(rng, 1.0):
             n = a.shape[-1]
             flat = rng.choice([-1.0, 1.0], size=a.shape) if a.dtype == float else \
                 np.exp(2j * np.pi * rng.uniform(size=a.shape))
-            below = np.concatenate([a * np.geomspace(2.5e-4, 0.24, len(a))[:, None, None]
+            below = np.concatenate([a * np.geomspace(1e-4, 0.99 * THETA8, len(a))[:, None, None]
                                     / (n * np.abs(a).max(axis=(1, 2)))[:, None, None],
-                                    flat * (0.25 * (1 - 1e-9) / n)])  # 1-norms just under 1/4
-            assert n * np.abs(below).max() < 0.25 * (1 - 1e-10)
-            assert np.abs(below).sum(axis=-2).max() >= 0.25 * (1 - 1e-8)
+                                    flat * (THETA8 * (1 - 1e-9) / n)])  # 1-norms just under theta_8
+            assert n * np.abs(below).max() < THETA8 * (1 - 1e-10)
+            assert np.abs(below).sum(axis=-2).max() >= THETA8 * (1 - 1e-8)
             beside = operators._expm(np.concatenate([below, 12.0 * below[-1:]]))
             assert np.array_equal(operators._expm(below), beside[:-1])
+
+    def test_mixed_stack_member_equals_single_matrix(self, rng):
+        # 1-norms either side of theta_8 and of 1/4 in one stack, the whole-stack
+        # bound exceeded: degree 8, degree 12 unscaled and degree 12 with squaring
+        # side by side, each member with the bits of its single-matrix call
+        norms = [0.5 * THETA8, THETA8 * (1 - 1e-12), THETA8 * (1 + 1e-12), 0.1,
+                 0.25 * (1 - 1e-12), 0.25 * (1 + 1e-12), 0.7]
+        for a in self.stacks(rng, 1.0):
+            a = np.concatenate([_at_one_norm(a[i::len(norms)], norm) for i, norm in enumerate(norms)])
+            assert np.abs(a).sum(axis=-2).max(axis=-1).min() < THETA8
+            batch = operators._expm(a)
+            for member, m in zip(batch, a):
+                assert np.array_equal(member, operators._expm(m[None])[0])
 
     # the shipped schedules' Magnus steps have 1-norms <= 0.12, far below 3
     @pytest.mark.parametrize("norm", [n for n in EXPM_NORMS if n <= 3.0])

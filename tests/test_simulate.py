@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geodrive import operators, simulate
+from geodrive.baselines import sta_schedule
 from geodrive.schedules import ControlSchedule
 from geodrive.simulate import (NoiseModel, infidelity_scaling_exponent,
                                overlap_fidelity, relaxation_channels,
@@ -237,10 +238,14 @@ class TestScalingExponents:
         with pytest.raises(ValueError):
             infidelity_scaling_exponent(sta, 0.1, 0.01)
 
-    def test_reference_state_propagated_once(self, sta, solves):
+    def test_reference_state_propagated_once(self, solves):
+        sta = sta_schedule()  # fresh: a shared schedule may already hold its unperturbed ket
         infidelity_scaling_exponent(sta, 0.01, 0.1, n=5)
         assert len(solves) == 1
         assert solves[0][0] == 0.0 and len(solves[0]) == 5 + 1
+        cached = overlap_fidelity(sta, 0.05)  # later calls solve only their own deltas
+        assert solves[1:] == [[0.05]]
+        assert cached == overlap_fidelity(sta_schedule(), 0.05)
 
     def test_overlap_equals_population_for_exact_transfer(self, scaled_schedule):
         pop = run_schrodinger(scaled_schedule, NoiseModel(delta=0.05)).final_fidelity
