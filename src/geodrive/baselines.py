@@ -94,14 +94,14 @@ def _constant_two_tone(amplitude, detuning, duration, n_samples, warnings=()):
                            pump_phi=zero, stokes_phi=zero, warnings=warnings)
 
 
-def _first_population_maximum(schedule, smooth_window):
-    """Time of the first local maximum of P_+1(t), ripple-smoothed.  The schedule is
-    constant, so P_+1(t) = |sum_k V_2k conj(V_0k) exp(-i e_k t)|^2 from one ``eigh``
-    H = V diag(e) V^dag: a closed form that picks a parameter, not an output path."""
+def _first_population_maximum(hamiltonian, horizon, smooth_window):
+    """Time in [0, horizon] of the first local maximum of P_+1(t), ripple-smoothed, under
+    a constant H: P_+1(t) = |sum_k V_2k conj(V_0k) exp(-i e_k t)|^2 from one ``eigh``
+    H = V diag(e) V^dag, a closed form that picks a parameter, not an output path."""
     n_probe = 3001
-    grid = np.linspace(*schedule.time_span, n_probe)
-    e, v = np.linalg.eigh(np.tensordot(schedule.fields(grid[:1])[0], schedule._BASIS, 1))
-    amplitude = (np.exp(-1j * np.outer(grid - grid[0], e)) * (v[2] * v[0].conj())).sum(axis=1)
+    grid = np.linspace(0.0, horizon, n_probe)
+    e, v = np.linalg.eigh(hamiltonian)
+    amplitude = (np.exp(-1j * np.outer(grid, e)) * (v[2] * v[0].conj())).sum(axis=1)
     p_plus = np.abs(amplitude) ** 2  # a sum, not a BLAS product, which may start threads
     win = max(3, int(round(smooth_window / (grid[1] - grid[0]))))
     smooth = np.convolve(p_plus, np.ones(win) / win, mode="same")
@@ -130,10 +130,10 @@ def srt_schedule(params: SrtParams = None, n_samples: int = MIN_GRID,
     reduced = params.rabi / SQRT2
     duration = params.duration
     if duration is None:
-        probe = _constant_two_tone(reduced, params.detuning, scan_horizon,
-                                   n_samples=3001, warnings=warnings)
+        fields = [reduced, 0.0, reduced, 0.0, params.detuning, params.detuning]  # at phase 0
         # smoothing window ~ one off-resonant ripple period
-        duration = _first_population_maximum(probe, 2.0 * np.pi / abs(params.detuning))
+        duration = _first_population_maximum(np.tensordot(fields, TwoToneSchedule._BASIS, 1),
+                                             scan_horizon, 2.0 * np.pi / abs(params.detuning))
     return _constant_two_tone(reduced, params.detuning, duration, n_samples, warnings)
 
 

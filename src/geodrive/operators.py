@@ -50,7 +50,6 @@ _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _MAGNUS_C = np.sqrt(3.0) / 12.0
 _BLOCK = 64  # steps per up-sweep tree: fixes the association, so batch members round as singles
 _ENTRIES = 2**14  # exponent entries, steps x deltas x n^2, per build: bounds the temporaries
-_TAYLOR = 1.0 / np.cumprod([1.0, *range(1, 13)])  # 1/k!, k = 0..12, for _expm
 #: _taylor8's x1..x7 and y2 (Bader, Blanes and Casas, Mathematics 7, 1174 (2019)), with
 #: x3 = 2/3 substituted and x1 = 4 x2; its truncation is below 2^-53 up to 1-norm _THETA8
 _THETA8, _R = 0.0686, np.sqrt(177.0)
@@ -109,8 +108,8 @@ def _integrate(rhs, y0, t0, t1, rtol, atol, t_eval=None):
 
 
 def _taylor8(a):
-    """The degree-8 Taylor polynomial I + a + y2 a2 + (x3 a2 + a4)(x4 I + x5 a + x6 a2
-    + x7 a4) of a stack, a2 = a^2 and a4 = x2 b, b = a2 (a2 + 4 a): three matmuls."""
+    """exp(a) - I to degree 8 for a stack: a + y2 a2 + (x3 a2 + a4)(x4 I + x5 a + x6 a2
+    + x7 a4), a2 = a^2 and a4 = x2 b, b = a2 (a2 + 4 a): three matmuls."""
     n, a2 = a.shape[-1], a @ a
     b = a2 @ (4.0 * a + a2)
     left = b + _X3 / _X2 * a2
@@ -121,41 +120,27 @@ def _taylor8(a):
     out = np.matmul(left, right, out=b)
     out += np.multiply(a2, _Y2, out=left)
     out += a
-    out.reshape(out.shape[:-2] + (n * n,))[..., ::n + 1] += 1.0
     return out
 
 
 def _expm(a):
-    """exp(a) for a stack (..., n, n), each matrix by its own 1-norm: :func:`_taylor8` at
-    or below _THETA8, else a degree-12 Taylor polynomial (truncation below 3e-18) after
-    scaling by a power of two to 1-norm <= 1/4, then squaring; so no result depends on its
+    """exp(a) for a stack (..., n, n), each matrix by its own 1-norm: scaled by 2^-s to
+    1-norm <= _THETA8 (s = 0 at or below it), X = :func:`_taylor8`, s squarings of I + X
+    as X <- 2 X + X X, and the identity added once, last; so no result depends on its
     batch.  n max|a_ij| bounds every 1-norm: below _THETA8, the norms are skipped."""
     n = a.shape[-1]
     if n * np.abs(a).max(initial=0.0) < _THETA8 * (1 - 2**-40):  # margin for the sums' rounding
-        return _taylor8(a)
-    norms = np.einsum("...ij->...j", np.abs(a)).max(axis=-1)  # sum(axis=-2) is 4x slower here
-    low = norms <= _THETA8
-    if low.all():
-        return _taylor8(a)
-    result = np.empty_like(a)
-    result[low] = _taylor8(a[low])
-    squarings = np.maximum(np.frexp(4.0 * norms[~low])[1], 0)
-    a = a[~low] * np.ldexp(1.0, -squarings)[..., None, None]
-    a2 = a @ a  # Paterson-Stockmeyer from a^2, a^3, a^4, two Horner stages in a^4
-    a3, a4 = a2 @ a, a2 @ a2
-    c = _TAYLOR  # terms summed smallest first, so the identity's rounding comes once
-    out, scratch = c[12] * a4, np.empty_like(a4)
-    for k in (8, 4, 0):  # out = a4 out + c[k+3] a3 + c[k+2] a2 + c[k+1] a + c[k] I
-        if k < 8:
-            out, scratch = np.matmul(a4, out, out=scratch), out
-        for power, coefficient in ((a3, c[k + 3]), (a2, c[k + 2]), (a, c[k + 1])):
-            out += np.multiply(power, coefficient, out=scratch)
-        out.reshape(out.shape[:-2] + (n * n,))[..., ::n + 1] += c[k]
-    for i in range(np.max(squarings, initial=0)):
-        more = squarings > i
-        out[more] = out[more] @ out[more]
-    result[~low] = out
-    return result
+        out = _taylor8(a)
+    else:
+        norms = np.einsum("...ij->...j", np.abs(a)).max(axis=-1)  # sum(axis=-2) is 4x slower here
+        mantissa, squarings = np.frexp(norms / _THETA8)
+        squarings = np.maximum(squarings - (mantissa == 0.5), 0)  # ceil(log2(norm / theta_8))
+        out = _taylor8(a * np.ldexp(1.0, -squarings)[..., None, None])  # exact: powers of 2
+        for i in range(np.max(squarings, initial=0)):
+            x = out[squarings > i]
+            out[squarings > i] = 2.0 * x + x @ x
+    out.reshape(out.shape[:-2] + (n * n,))[..., ::n + 1] += 1.0
+    return out
 
 
 def _magnus_terms(schedule, grid, dissipator=None):

@@ -9,6 +9,7 @@ All frequency-like numbers are interpreted under the active convention
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,6 +72,8 @@ def _require(mapping, key, kind, where, default=None, required=False):
         return default
     value = mapping[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not -sys.float_info.max <= value <= sys.float_info.max:  # JSON admits NaN, Infinity
+            raise ScenarioError(f"{where}.{key}", "must be a finite number")
         return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -169,8 +172,9 @@ def load_scenario(path, convention: str = ANGULAR) -> Scenario:
 
     duration = raw.get("duration", NATURAL)
     if duration != NATURAL:
-        if not isinstance(duration, (int, float)) or isinstance(duration, bool) or duration <= 0:
-            raise ScenarioError("duration", "must be a positive number or 'natural'")
+        if (not isinstance(duration, (int, float)) or isinstance(duration, bool)
+                or not 0 < duration <= sys.float_info.max):
+            raise ScenarioError("duration", "must be a finite positive number or 'natural'")
         duration = float(duration)
 
     noise_raw = _require(raw, "noise", dict, "scenario", default={})

@@ -150,31 +150,23 @@ def block_reference():
 
 
 def _per_matrix_expm(a):
-    """operators._expm with each matrix's own 1-norm and the polynomials in
-    expression form: the degree 8 of operators._taylor8 at or below
-    operators._THETA8, else the degree 12 after scaling to 1-norm <= 1/4.  The
-    arithmetic that its whole-stack bound, its split of a mixed stack and its
-    in-place stages must keep, bit for bit."""
+    """operators._expm with each matrix's own 1-norm and the polynomial in expression
+    form: scaled by 2^-s to 1-norm <= operators._THETA8, X = exp(a / 2^s) - I from the
+    degree 8 of operators._taylor8, s squarings X <- 2 X + X X, then I + X.  The
+    arithmetic that its whole-stack bound and its in-place stages must keep, bit for bit."""
     ops, eye = operators, np.eye(a.shape[-1])
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    mantissa, squarings = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / ops._THETA8)
+    squarings = np.maximum(squarings - (mantissa == 0.5), 0)
+    a = a * np.ldexp(1.0, -squarings)[..., None, None]
     x2, x3, x4, x5, x6, x7, y2 = (ops._X2, ops._X3, ops._X4, ops._X5, ops._X6, ops._X7, ops._Y2)
     a2 = a @ a
     b = a2 @ (4.0 * a + a2)  # a4 / x2
     a8 = (x3 / x2 * a2 + b) @ (x2 * x2 * x7 * b + x2 * x6 * a2 + x2 * x5 * a + x2 * x4 * eye)
-    degree8 = a8 + y2 * a2 + a + eye
-
-    squarings = np.maximum(np.frexp(4.0 * norms)[1], 0)
-    a = a * np.ldexp(1.0, -squarings)[..., None, None]
-    a2 = a @ a
-    a3, a4 = a2 @ a, a2 @ a2
-    c = ops._TAYLOR
-    tail = c[12] * a4 + c[11] * a3 + c[10] * a2 + c[9] * a + c[8] * eye
-    tail = a4 @ tail + c[7] * a3 + c[6] * a2 + c[5] * a + c[4] * eye
-    out = a4 @ tail + c[3] * a3 + c[2] * a2 + a + eye
+    x = a8 + y2 * a2 + a
     for i in range(squarings.max(initial=0)):
         more = squarings > i
-        out[more] = out[more] @ out[more]
-    return np.where((norms <= ops._THETA8)[..., None, None], degree8, out)
+        x[more] = 2.0 * x[more] + x[more] @ x[more]
+    return x + eye
 
 
 def _block_reference(schedule, y0, times, deltas, dissipator=None):

@@ -399,6 +399,28 @@ def test_malformed_baseline_block_is_input_error(tmp_path, capsys, command, sche
     assert field in err
 
 
+NON_FINITE = [
+    ("run", {"noise": {"delta": float("nan")}}, "scenario.noise.delta"),
+    ("run", {"duration": float("inf")}, "duration"),
+    ("run", {"noise": {"gamma": float("inf")}}, "scenario.noise.gamma"),
+    ("sweep", {"sweep": {"start": float("nan")}}, "scenario.sweep.start"),
+]
+
+
+@pytest.mark.parametrize("command, change, field", NON_FINITE, ids=[f for _, _, f in NON_FINITE])
+def test_non_finite_number_is_input_error(tmp_path, capsys, command, change, field):
+    # json admits NaN and Infinity: each must stop at the field that holds it
+    path = write_scenario(tmp_path, {**REFERENCE, **change})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"scenario error: {field}: ")
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "o").exists()
+
+
 class TestSweepCommand:
     def test_requires_sweep_block(self, tmp_path):
         path = write_scenario(tmp_path, {"version": 1, "scheme": "sta"})

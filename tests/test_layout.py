@@ -1,4 +1,5 @@
-"""`src` holds what a command runs: code that only the tests call lives in the tests."""
+"""`src` holds what a command runs: code that only the tests call lives in the tests,
+and a private name that nothing calls is gone."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,31 @@ def test_every_public_definition_is_used_outside_itself():
                            for where, name, line in references):
                     unused.append(f"{path.relative_to(ROOT)}: {owner}{item.name}")
     assert unused == [], "used by no other code in src or geobench:\n" + "\n".join(unused)
+
+
+def _private_definitions(tree):
+    """(name, first line, last line) of each module-level private function, class and
+    assigned constant; dunder names are the interpreter's and not counted."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_every_private_definition_is_used():
+    """Each module-level private function, class or constant is referenced by code in
+    the package or in geobench outside its own definition."""
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    references = [(path, *ref) for path, tree in trees.items() for ref in _references(tree)]
+    orphans = [f"{path.relative_to(ROOT)}: {name}"
+               for path, tree in trees.items() for name, first, last in _private_definitions(tree)
+               if not any(used == name and not (where == path and first <= line <= last)
+                          for where, used, line in references)]
+    assert orphans == [], "private names nothing in src or geobench uses:\n" + "\n".join(orphans)

@@ -358,10 +358,11 @@ def _at_one_norm(a, norm):
 
 
 THETA8 = operators._THETA8
-# either side of the degree-8 bound theta_8 and of the degree-12 scaling bound 1/4;
-# 3 and 30 need squaring
+# either side of theta_8, 2 theta_8 and 4 theta_8, where the count of squarings steps
+# from 0 to 1, 2 and 3; 1/4 and either side of it square twice, 3 and 30 six and nine times
 EXPM_NORMS = [0.0, 1e-3, THETA8 * (1 - 1e-9), THETA8 * (1 + 1e-9), 0.1,
-              0.25 * (1 - 1e-9), 0.25, 0.25 * (1 + 1e-9), 3.0, 30.0]
+              2 * THETA8 * (1 - 1e-9), 2 * THETA8 * (1 + 1e-9), 0.25 * (1 - 1e-9), 0.25,
+              0.25 * (1 + 1e-9), 4 * THETA8 * (1 - 1e-9), 4 * THETA8 * (1 + 1e-9), 3.0, 30.0]
 
 
 class TestExpm:
@@ -419,11 +420,12 @@ class TestExpm:
             assert np.array_equal(operators._expm(below), beside[:-1])
 
     def test_mixed_stack_member_equals_single_matrix(self, rng):
-        # 1-norms either side of theta_8 and of 1/4 in one stack, the whole-stack
-        # bound exceeded: degree 8, degree 12 unscaled and degree 12 with squaring
-        # side by side, each member with the bits of its single-matrix call
+        # 1-norms either side of theta_8, 2 theta_8 and 4 theta_8 in one stack, the
+        # whole-stack bound exceeded: 0 to 4 squarings side by side, each member with
+        # the bits of its single-matrix call
         norms = [0.5 * THETA8, THETA8 * (1 - 1e-12), THETA8 * (1 + 1e-12), 0.1,
-                 0.25 * (1 - 1e-12), 0.25 * (1 + 1e-12), 0.7]
+                 2 * THETA8 * (1 - 1e-12), 2 * THETA8 * (1 + 1e-12),
+                 4 * THETA8 * (1 - 1e-12), 4 * THETA8 * (1 + 1e-12), 0.7]
         for a in self.stacks(rng, 1.0):
             a = np.concatenate([_at_one_norm(a[i::len(norms)], norm) for i, norm in enumerate(norms)])
             assert np.abs(a).sum(axis=-2).max(axis=-1).min() < THETA8
@@ -435,5 +437,13 @@ class TestExpm:
     @pytest.mark.parametrize("norm", [n for n in EXPM_NORMS if n <= 3.0])
     def test_ket_steps_are_unitary(self, rng, norm):
         complex_steps, real_steps = (operators._expm(a) for a in self.stacks(rng, norm)[::2])
-        assert max(unitarity_defect(u) for u in complex_steps) <= 1e-14
-        assert max(np.linalg.norm(o.T @ o - np.eye(6)) for o in real_steps) <= 1e-14
+        assert max(unitarity_defect(u) for u in complex_steps) <= 3e-15
+        assert max(np.linalg.norm(o.T @ o - np.eye(6)) for o in real_steps) <= 3e-15
+
+    @pytest.mark.parametrize("norm", [n for n in EXPM_NORMS if n <= 3.0])
+    def test_lindblad_steps_keep_the_trace_row(self, rng, norm):
+        # Tr rho = t . x with t = (1, 1, 1, 0, ..., 0) on x_a = Tr(l_a rho): a trace-preserving
+        # generator has t^T a = 0, so each step must keep t^T exp(a) = t^T
+        trace_row = np.trace(operators._HERMITIAN_BASIS, axis1=1, axis2=2).real
+        steps = operators._expm(self.stacks(rng, norm)[3])
+        assert np.max(np.abs(trace_row @ steps - trace_row)) <= 1e-15
