@@ -26,12 +26,33 @@ _GL_ORDER = 10
 #: Gauss-Legendre panels of the cumulative arc-length table
 _N_QUAD = 256
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-#: (11, 10): a panel's node speeds to the coefficients, highest power of d - lo
-#: first, of the integral from its left edge of their degree-9 interpolant; row k
-#: of the inverse Vandermonde matrix is the interpolant's coefficient of (N (d - lo))^k
-_PANEL_INTEGRAL = (np.polynomial.polynomial.polyint(
-    np.linalg.inv(np.vander(0.5 * (1.0 + _NODES), increasing=True)))
-    * float(_N_QUAD) ** (np.arange(_GL_ORDER + 1) - 1)[:, None])[::-1]
+
+
+def _panel_integral(nodes, n_quad):
+    """(len(nodes) + 1, len(nodes)): a panel's node speeds to the coefficients, highest
+    power of d - lo first, of the integral from its left edge of their interpolant.
+
+    Column j integrates the Lagrange polynomial L_j(u) = sum_k c_k u^k of node u_j on
+    [0, 1]: sum_k c_k N^k / (k + 1) (d - lo)^(k + 1), u = N (d - lo).  The float nodes
+    are a_j / 2^e, so each entry is one exact ratio of integers, rounded once, and no
+    entry depends on a BLAS or LAPACK kernel (an inverse Vandermonde matrix did).
+    """
+    ratios = [x.as_integer_ratio() for x in 0.5 * (1.0 + nodes)]
+    scale = max(den for _, den in ratios)  # 2^e: every denominator is a power of 2
+    a = [num * (scale // den) for num, den in ratios]
+    out = np.zeros((len(a) + 1, len(a)))
+    for j, aj in enumerate(a):
+        poly, denom = [1], 1  # L_j(u) = poly(2^e u) / denom, poly rising: prod_{i != j} (U - a_i)
+        for i, ai in enumerate(a):
+            if i != j:
+                poly = [lo - ai * hi for lo, hi in zip([0] + poly, poly + [0])]
+                denom *= aj - ai
+        for k, p in enumerate(poly):  # c_k = p 2^(e k) / denom
+            out[len(a) - 1 - k, j] = p * (scale * n_quad) ** k / (denom * (k + 1))
+    return out
+
+
+_PANEL_INTEGRAL = _panel_integral(_NODES, _N_QUAD)
 
 
 class DegenerateCurveError(ValueError):
@@ -315,7 +336,12 @@ def reparametrize_by_arclength(curve) -> ArcLengthCurve:
     if not np.isfinite(total) or total < 1e-12:
         raise DegenerateCurveError(f"curve {curve.name!r} has zero arc length")
 
-    coeffs = _PANEL_INTEGRAL @ speeds.T
+    # a panel's mean speed integrates to mean (d - lo) exactly, so the matrix meets only the
+    # deviations from it and its rounding scales with them; einsum calls no BLAS, so the
+    # coefficients have the same bits under every kernel
+    base = speeds.mean(axis=1)
+    coeffs = np.einsum("kj,pj->kp", _PANEL_INTEGRAL, speeds - base[:, None])
+    coeffs[-2] += base
     coeffs[-1] = cumulative[:-1]
     length = PiecewisePolynomial(edges, coeffs[:, None, :])
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import simpson
-from .operators import SQRT2, propagate_operator, toggling_frame
+from .operators import _ENTRIES, SQRT2, propagate_operator, toggling_frame
 
 
 class InconsistentAnglesError(RuntimeError):
@@ -141,7 +141,8 @@ def angles_from_schedule(schedule, n_samples: int = 10_001,
     phase fit; beta0 is extrapolated to t = 0 from the first well-resolved
     window.  Raises :class:`InconsistentAnglesError` if the rebuilt
     three-angle propagator deviates from the integrated one by more than
-    ``residual_tol`` in Frobenius norm.
+    ``residual_tol`` in Frobenius norm; it is rebuilt one block of samples at
+    a time, so no full-length temporary outlives its block.
     """
     t0, t1 = schedule.time_span
     times = np.linspace(t0, t1, n_samples)
@@ -162,8 +163,10 @@ def angles_from_schedule(schedule, n_samples: int = 10_001,
             frame_offset = float(big_b[window[0]])
 
     alpha = big_c - frame_offset
-    rebuilt = evolution_operator(theta, big_b, big_c)
-    residual = float(np.max(np.linalg.norm(rebuilt - props, axis=(1, 2))))
+    block = _ENTRIES // 9  # samples per rebuilt block: the stepper's build bound on 3 x 3 entries
+    residual = max(float(np.max(np.linalg.norm(
+        evolution_operator(theta[i:i + block], big_b[i:i + block], big_c[i:i + block])
+        - props[i:i + block], axis=(1, 2)))) for i in range(0, n_samples, block))
     if residual > residual_tol:
         raise InconsistentAnglesError(
             f"three-angle factorization residual {residual:.3e} exceeds {residual_tol:.1e}")

@@ -14,15 +14,11 @@ SQRT2 = np.sqrt(2.0)
 K_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
 K_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / SQRT2
 K_Z = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
-for _k in (K_X, K_Y, K_Z):
-    _k.flags.writeable = False
-
 IDENTITY3 = np.eye(3, dtype=complex)
-IDENTITY3.flags.writeable = False
-
 #: the basis ket |-1>, where every transfer starts
 KET_MINUS1 = np.array([1, 0, 0], dtype=complex)
-KET_MINUS1.flags.writeable = False
+for _k in (K_X, K_Y, K_Z, IDENTITY3, KET_MINUS1):
+    _k.flags.writeable = False
 
 #: orthonormal Hermitian basis, Tr(l_a l_b) = delta_ab: the diagonal units, then
 #: (E_jk + E_kj) / sqrt2 and i (E_kj - E_jk) / sqrt2 for j < k
@@ -49,7 +45,7 @@ _DENSITY_LIFT = (_HERMITIAN_BASIS.reshape(9, 9).T, lambda h: -1j * (
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _MAGNUS_C = np.sqrt(3.0) / 12.0
 _BLOCK = 64  # steps per up-sweep tree: fixes the association, so batch members round as singles
-_ENTRIES = 2**14  # exponent entries, steps x deltas x n^2, per build: bounds the temporaries
+_ENTRIES, _ROWS = 2**14, 2**17  # steps x deltas x n^2 per build, steps x m per group of builds
 #: _taylor8's x1..x7 and y2 (Bader, Blanes and Casas, Mathematics 7, 1174 (2019)), with
 #: x3 = 2/3 substituted and x1 = 4 x2; its truncation is below 2^-53 up to 1-norm _THETA8
 _THETA8, _R = 0.0686, np.sqrt(177.0)
@@ -175,31 +171,38 @@ def _propagate(schedule, y0, times, deltas, dissipator=None, grid=None):
     Hermiticity-preserving ``dissipator`` D (9, 9), -i[K, rho] + D vec(rho) on a
     density matrix, stepped in real coordinates by one Magnus step exp(A)
     (:func:`_magnus_terms`, :func:`_expm`) per interval of :func:`_step_grid`, so
-    each step lies in one PCHIP piece.  Each (block of _BLOCK steps, delta) gets
-    its A from one (steps x m) @ (m x n^2) product (identity steps fill the last
-    block up, and the last sample follows them) and its product from a pairwise
-    up-sweep; a short loop carries the state from block to block.  A build that
-    holds samples sweeps down on states while every sample ends a node: an odd
-    child takes its parent's end state, an even child its node times the state
-    entering the parent.  The same arithmetic in any batch and any build of
-    consecutive blocks, so the same bits.  Only the sample rows are stored,
-    (len(deltas), len(times)) + y0.shape, never renormalized.  A caller that needs
-    the step count passes ``grid = _step_grid(schedule, times)``.
+    each step lies in one PCHIP piece.  The rows w are formed per group of whole
+    builds, about _ROWS entries.  Each (block of _BLOCK steps, delta) gets its A
+    from one (steps x m) @ (m x n^2) product (identity steps fill the last block
+    up, and the last sample follows them) and its product from a pairwise up-sweep;
+    a short loop carries the state from block to block.  A build that holds samples
+    sweeps down on states while every sample ends a node: an odd child takes its
+    parent's end state, an even child its node times the state entering the parent.
+    The same arithmetic in any batch, build or group of consecutive blocks, so the
+    same bits.  Only the sample rows are stored, (len(deltas), len(times)) + y0.shape,
+    never renormalized.  A caller that needs the step count passes ``grid``.
     """
     times = np.asarray(times, dtype=float)
     grid = _step_grid(schedule, times) if grid is None else grid
-    embed, w, t0, t1 = _magnus_terms(schedule, grid, dissipator)
-    n = embed.shape[1]
-    w = np.concatenate([w, np.zeros((-len(w) % _BLOCK, w.shape[1]))])  # identity steps fill up
-    start = np.reshape(y0, (embed.shape[0], -1))
-    state = np.repeat((embed.conj().T @ start).real[None], len(deltas), axis=0)
-    rows = np.append(np.searchsorted(grid, times[1:-1]), len(w))  # steps to each later sample
-    samples = np.empty((len(deltas), times.size) + start.shape, dtype=complex)
-    samples[:, 0] = start
+    embed, f = (_KET_LIFT if dissipator is None else _DENSITY_LIFT)[0], len(schedule._BASIS)
+    n, steps = embed.shape[1], len(grid) - 1
     chunk = max(1, _ENTRIES // (_BLOCK * n * n))  # deltas per build
     build = _BLOCK * max(1, chunk // max(1, len(deltas)))  # steps per build
-    for lo in range(0, len(w), build):
-        rows_w = w[lo:lo + build].reshape(-1, 1, _BLOCK, w.shape[1])
+    group = build * max(1, _ROWS // (build * (f + 1) * (f + 2) // 2))  # m = (f + 1)(f + 2) / 2
+    _, w, t0, t1 = _magnus_terms(schedule, grid[:group + 1], dissipator)
+    start = np.reshape(y0, (embed.shape[0], -1))
+    state = np.repeat((embed.conj().T @ start).real[None], len(deltas), axis=0)
+    # steps to each later sample; the last one counts the identity steps that fill up its block
+    rows = np.append(np.searchsorted(grid, times[1:-1]), steps - steps % -_BLOCK)
+    samples = np.empty((len(deltas), times.size) + start.shape, dtype=complex)
+    samples[:, 0] = start
+    for lo in range(0, steps, build):
+        if lo % group == 0:  # the rows of the next group of builds; identity steps fill up
+            if lo:  # the first group's came before the samples, so their peaks do not add
+                del w, rows_w  # and the last group's go before the next group's are formed
+                _, w, t0, t1 = _magnus_terms(schedule, grid[lo:lo + group + 1], dissipator)
+            w = np.concatenate([w, np.zeros((-len(w) % _BLOCK, w.shape[1]))])
+        rows_w = w[lo % group:lo % group + build].reshape(-1, 1, _BLOCK, w.shape[1])
         taken = np.flatnonzero((rows > lo) & (rows <= lo + build))
         block, ends = np.divmod(rows[taken] - lo - 1, _BLOCK)
         ends += 1  # steps into its block up to each sample

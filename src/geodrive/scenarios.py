@@ -22,6 +22,9 @@ from .simulate import NoiseModel
 
 SCHEMES = ("geometric", "srt", "stirap", "sta")
 NATURAL = "natural"
+#: the range a run stays finite and warning-free in: durations in us, and the magnitude
+#: of the noise and sweep frequencies in rad/us (at 1e20 rad/us the stepper overflows)
+DURATION_RANGE, MAX_FREQUENCY = (1e-6, 1e6), 1e6
 
 
 class ScenarioError(ValueError):
@@ -82,6 +85,15 @@ def _require(mapping, key, kind, where, default=None, required=False):
     if kind is dict and isinstance(value, dict):
         return value
     raise ScenarioError(f"{where}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
+
+
+def _frequency(mapping, key, where, default, convention):
+    """A frequency-like float in rad/us, at most MAX_FREQUENCY in magnitude."""
+    value = to_angular(_require(mapping, key, float, where, default=default), convention)
+    if abs(value) > MAX_FREQUENCY:
+        raise ScenarioError(f"{where}.{key}",
+                            f"must be at most {MAX_FREQUENCY:g} rad/us in magnitude")
+    return value
 
 
 def _load_curve(spec, base_dir, convention):
@@ -172,17 +184,17 @@ def load_scenario(path, convention: str = ANGULAR) -> Scenario:
 
     duration = raw.get("duration", NATURAL)
     if duration != NATURAL:
+        lo, hi = DURATION_RANGE
         if (not isinstance(duration, (int, float)) or isinstance(duration, bool)
-                or not 0 < duration <= sys.float_info.max):
-            raise ScenarioError("duration", "must be a finite positive number or 'natural'")
+                or not lo <= duration <= hi):
+            raise ScenarioError("duration", f"must be a number in [{lo:g}, {hi:g}] us or 'natural'")
         duration = float(duration)
 
     noise_raw = _require(raw, "noise", dict, "scenario", default={})
-    delta = _require(noise_raw, "delta", float, "scenario.noise", default=0.0)
-    gamma = _require(noise_raw, "gamma", float, "scenario.noise", default=0.0)
+    delta = _frequency(noise_raw, "delta", "scenario.noise", 0.0, convention)
+    gamma = _frequency(noise_raw, "gamma", "scenario.noise", 0.0, convention)
     try:
-        noise = NoiseModel(delta=to_angular(delta, convention),
-                           gamma=to_angular(gamma, convention))
+        noise = NoiseModel(delta=delta, gamma=gamma)
     except ValueError as exc:
         raise ScenarioError("scenario.noise", str(exc)) from exc
 
@@ -191,11 +203,11 @@ def load_scenario(path, convention: str = ANGULAR) -> Scenario:
         sweep_raw = _require(raw, "sweep", dict, "scenario")
         scaling = _require(sweep_raw, "scaling", dict, "scenario.sweep", default={})
         sweep = SweepSpec(
-            start=to_angular(_require(sweep_raw, "start", float, "scenario.sweep", default=-1.0), convention),
-            stop=to_angular(_require(sweep_raw, "stop", float, "scenario.sweep", default=1.0), convention),
+            start=_frequency(sweep_raw, "start", "scenario.sweep", -1.0, convention),
+            stop=_frequency(sweep_raw, "stop", "scenario.sweep", 1.0, convention),
             count=_require(sweep_raw, "count", int, "scenario.sweep", default=101),
-            scaling_lo=to_angular(_require(scaling, "lo", float, "scenario.sweep.scaling", default=0.01), convention),
-            scaling_hi=to_angular(_require(scaling, "hi", float, "scenario.sweep.scaling", default=0.1), convention),
+            scaling_lo=_frequency(scaling, "lo", "scenario.sweep.scaling", 0.01, convention),
+            scaling_hi=_frequency(scaling, "hi", "scenario.sweep.scaling", 0.1, convention),
             scaling_n=_require(scaling, "n", int, "scenario.sweep.scaling", default=7),
         )
         if sweep.count < 1:

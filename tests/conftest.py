@@ -1,6 +1,7 @@
 import bisect
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ def sta_angles(sta):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    return _peak_bytes
+
+
+def _peak_bytes(fn):
+    """(fn(), the peak in bytes of the memory that tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from geodrive.operators import IntegrationFailure
 from geodrive.scenarios import ScenarioError, load_scenario
 from geodrive.schedules import write_schedule_csv
 from geodrive.simulate import NoiseModel, run_lindblad
-from test_curves import REFERENCE_EXPRESSIONS
+from test_curves import DYNAMIC_OPENBLAS, REFERENCE_EXPRESSIONS
 
 REFERENCE = {
     "version": 1,
@@ -419,6 +419,71 @@ def test_non_finite_number_is_input_error(tmp_path, capsys, command, change, fie
     assert err.startswith(f"scenario error: {field}: ")
     assert "Traceback" not in err and "Warning" not in err
     assert not (tmp_path / "o").exists()
+
+
+#: finite values past the range a run stays finite in: each printed numpy warnings and
+#: exited 1 (or 0, for scaling.hi) before the range check
+EXTREME = [
+    ("run", {"duration": 1e-300}, [], "duration"),
+    ("run", {"duration": 1e300}, [], "duration"),
+    ("run", {"noise": {"delta": 1e300}}, [], "scenario.noise.delta"),
+    ("run", {"noise": {"gamma": 1e300}}, [], "scenario.noise.gamma"),
+    ("run", {"noise": {"delta": 2e5}}, ["--convention", "cyclic"], "scenario.noise.delta"),
+    ("sweep", {"sweep": {"stop": 1e300}}, [], "scenario.sweep.stop"),
+    ("sweep", {"sweep": {"scaling": {"hi": 1e300}}}, [], "scenario.sweep.scaling.hi"),
+]
+
+
+@pytest.mark.parametrize("command, change, flags, field", EXTREME,
+                         ids=[f"{f}={c}" for _, c, _, f in EXTREME])
+def test_finite_extreme_is_input_error(tmp_path, capsys, command, change, flags, field):
+    path = write_scenario(tmp_path, {**REFERENCE, **change})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--scenario", str(path), "--out", str(tmp_path / "o"), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"scenario error: {field}: ")
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_range_edges_are_accepted(tmp_path):
+    # the edges of the ranges load: durations of 1e-6 and 1e6 us, frequencies of 1e6 rad/us
+    for duration, rate in ((1e-6, 1e6), (1e6, -1e6)):
+        payload = {**REFERENCE, "duration": duration, "noise": {"delta": rate, "gamma": abs(rate)},
+                   "sweep": {"start": -rate, "stop": rate, "scaling": {"lo": rate, "hi": rate}}}
+        scenario = load_scenario(write_scenario(tmp_path, payload))
+        assert scenario.duration == duration and scenario.noise.delta == rate
+        assert scenario.sweep.start == -rate and scenario.sweep.scaling_hi == rate
+
+
+@pytest.mark.skipif(not DYNAMIC_OPENBLAS, reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+@pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
+def test_outputs_across_blas_kernels(tmp_path, capsys, core):
+    # the curve and schedule files keep their bits under every kernel; the populations
+    # move with the stepper's small matmuls: 5.4e-14 at most under Nehalem, 1.3e-15 under
+    # Haswell, over seeds 1 and 2 of the compare workload
+    path = write_scenario(tmp_path, {**REFERENCE, "scheme": "all"})
+    script = ("import sys\nfrom geodrive.cli import main\n"
+              "sys.exit(main(['synthesize', '--scenario', sys.argv[1], '--out', sys.argv[2]])\n"
+              "         or main(['run', '--scenario', sys.argv[1], '--out', sys.argv[2]]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / core)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for command in ("synthesize", "run"):
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path / "default")]) == 0
+    capsys.readouterr()
+    for name in ("geometry.csv", "schedule.csv"):
+        assert (tmp_path / core / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+    for scheme in ("geometric", "srt", "stirap", "sta"):
+        for run in ("ideal", "noisy"):
+            ours, theirs = (np.loadtxt(tmp_path / side / f"{scheme}_{run}.csv", delimiter=",",
+                                       skiprows=1) for side in ("default", core))
+            assert np.max(np.abs(ours - theirs)) <= 1e-13
 
 
 class TestSweepCommand:

@@ -1,10 +1,14 @@
-import tracemalloc
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from geodrive import curves
 from geodrive.curves import (CurveExpressionError, DegenerateCurveError,
                              ParametricCurve, check_boundary_conditions,
                              curvature_torsion, curve_from_expressions,
@@ -13,6 +17,18 @@ from geodrive.curves import (CurveExpressionError, DegenerateCurveError,
 from geodrive.schedules import reconstruct_curve, synthesize
 
 SQRT2 = np.sqrt(2.0)
+
+
+def _dynamic_openblas():
+    """Whether numpy's BLAS picks its kernel from the CPU or from OPENBLAS_CORETYPE."""
+    try:  # mode="dicts" needs numpy >= 1.26
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "DYNAMIC_ARCH" in str(blas.get("openblas configuration"))
+
+
+DYNAMIC_OPENBLAS = _dynamic_openblas()
 
 
 def circle_curve(radius=1.0):
@@ -104,6 +120,28 @@ class TestReparametrization:
         lengths = np.cumsum((speeds.reshape(-1, 20) * weights).sum(axis=1) * 0.5 * (hi - lo))
         assert np.max(np.abs(lengths - grid)) <= 5e-13
 
+    @pytest.mark.skipif(not DYNAMIC_OPENBLAS, reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+    @pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
+    def test_arc_length_bits_do_not_depend_on_the_blas_kernel(self, core):
+        # under Nehalem an inverse-Vandermonde panel matrix and a BLAS product moved the
+        # inversion residuals above 1e-12: the matrix and the arc-length map keep their bits
+        arc = reparametrize_by_arclength(reference_curve())
+        grid = np.linspace(0.0, arc.total_length, 2001)
+        script = ("import numpy as np\nfrom geodrive import curves\n"
+                  "arc = curves.reparametrize_by_arclength(curves.reference_curve())\n"
+                  "grid = np.linspace(0.0, arc.total_length, 2001)\n"
+                  "print(curves._PANEL_INTEGRAL.tobytes().hex(),"
+                  " arc.parameter_map(grid).tobytes().hex())")
+        src = str(Path(curves.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        matrix, roots = map(bytes.fromhex, done.stdout.split())
+        assert matrix == curves._PANEL_INTEGRAL.tobytes()
+        assert roots == arc.parameter_map(grid).tobytes()
+
     def test_degenerate_curve_rejected(self):
         point = curve_from_expressions("0", "0", "0", name="point")
         with pytest.raises(DegenerateCurveError):
@@ -151,18 +189,12 @@ class TestGeometry:
         assert np.all(geo.flags)
         assert np.all(geo.torsion == 0)
 
-    def test_geometry_memory(self):
+    def test_geometry_memory(self, peak_bytes):
         # 4 MB: 2.1 MB measured; a length quadrature per Newton step would hold
         # 2001 x 10 order-1 jets at once (11.3 MB)
         arc = reparametrize_by_arclength(curve_from_expressions(*SEED_1_BUMP))
         curvature_torsion(arc)
-        tracemalloc.start()
-        try:
-            curvature_torsion(arc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.0e6
+        assert peak_bytes(lambda: curvature_torsion(arc))[1] <= 4.0e6
 
     def test_matches_finite_differences(self, reference_arc):
         # independent cross-check: differentiate the tangent numerically

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -182,31 +180,21 @@ class TestSweep:
             assert herm <= single.metadata["hermiticity_defect"] + 1e-14
             assert trace <= 1e-12 and herm <= 1e-12 and min_eig >= -1e-8
 
-    def test_wide_sweep_memory(self, stirap):
+    def test_wide_sweep_memory(self, stirap, peak_bytes):
         # 3 MB: the sweep keeps only each delta's final state (1.97 MB measured);
         # a build of every step's generators at once would hold 2 x 2800 x 101 of them
         deltas = np.linspace(-0.8, 0.8, 101)
         sweep_delta(stirap, deltas[:2], gamma=0.003)  # the schedule's lazy interpolant
-        tracemalloc.start()
-        try:
-            rows = sweep_delta(stirap, deltas, gamma=0.003, n_samples=401)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rows, peak = peak_bytes(lambda: sweep_delta(stirap, deltas, gamma=0.003, n_samples=401))
         assert peak <= 3.0e6
         assert np.max(rows[:, 3]) <= 1e-13 and np.max(rows[:, 2]) == 0.0
 
-    def test_dense_lindblad_memory(self, stirap):
+    def test_dense_lindblad_memory(self, stirap, peak_bytes):
         # 3 MB: 2.6 MB measured for 1001 samples over 3600 steps with three 64-step
         # blocks per build (2.0 MB with one)
         noise = NoiseModel(delta=0.3, gamma=0.003)
         run_lindblad(stirap, noise, n_samples=11)  # the schedule's lazy interpolant
-        tracemalloc.start()
-        try:
-            result = run_lindblad(stirap, noise, n_samples=1001)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = peak_bytes(lambda: run_lindblad(stirap, noise, n_samples=1001))
         assert peak <= 3.0e6
         assert result.trace_defect <= 1e-12
 
