@@ -1,15 +1,14 @@
 """Command-line front end: validate-curve, synthesize, run, sweep.
 
 All commands read a scenario JSON file and write deterministic CSV/JSON
-outputs (17 significant digits, LF line endings, no timestamps), so reruns
-with identical inputs are byte-identical.  Exit codes: 0 success,
+outputs (``schedules.write_table`` and ``schedules.json_text``, no
+timestamps), so reruns with identical inputs are byte-identical.  Exit codes: 0 success,
 1 validation or physics failure, 2 malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -20,8 +19,8 @@ from .config import ANGULAR, CONVENTIONS
 from .operators import IntegrationFailure
 from .scenarios import (Scenario, ScenarioError, build_schedule,
                         geometric_pipeline, load_scenario)
-from .schedules import (curve_deviation, end_distance, reconstruct_curve, synthesize,
-                        write_schedule_csv)
+from .schedules import (_rows, curve_deviation, end_distance, json_text, reconstruct_curve,
+                        synthesize, write_schedule_csv, write_table)
 from .simulate import (SOLVER, NoiseModel, infidelity_scaling_exponent, run_lindblad,
                        run_schrodinger, sweep_delta)
 
@@ -29,26 +28,10 @@ from .simulate import (SOLVER, NoiseModel, infidelity_scaling_exponent, run_lind
 SCHEME_ERRORS = (IntegrationFailure, ValueError)
 
 
-def _fmt(value) -> str:
-    return format(float(value) + 0.0, ".17g")
-
-
-def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_populations_csv(path, result):
-    with open(path, "w", newline="") as fh:
-        fh.write("t,p_minus1,p_0,p_plus1\n")
-        # + 0.0 turns -0.0 into 0.0, as _fmt does; %.17g formats as _fmt does
-        table = np.column_stack([result.time_grid, result.populations]) + 0.0
-        fh.writelines("%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in table.tolist())
-
-
-def _write_sweep_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write("delta,p_plus1_final\n")
-        fh.writelines("%.17g,%.17g\n" % tuple(row) for row in (rows[:, :2] + 0.0).tolist())
+def _run_header(scenario: Scenario, **fields):
+    """The run fields that every JSON artifact records, plus ``fields``."""
+    return {"scenario": scenario.name, "convention": scenario.convention,
+            "solver": SOLVER, "tool_version": __version__, **fields}
 
 
 def _write_plot_script(path, lines):
@@ -76,8 +59,7 @@ def _scheme_params(scenario: Scenario, scheme: str):
 
 def cmd_validate_curve(scenario: Scenario, args) -> int:
     if scenario.curve is None:
-        print("validate-curve needs a geometric scenario with a curve", file=sys.stderr)
-        return 2
+        raise ScenarioError("curve", "validate-curve needs a geometric scenario with a curve")
     arc = curves.reparametrize_by_arclength(scenario.curve)
     report = curves.check_boundary_conditions(arc, tol=args.tol)
     geometry = curves.curvature_torsion(arc)
@@ -89,37 +71,30 @@ def cmd_validate_curve(scenario: Scenario, args) -> int:
         **_geometry_summary(geometry),
         "passed": report.passed,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(payload))
     return 0 if report.passed else 1
 
 
 def cmd_synthesize(scenario: Scenario, args) -> int:
     if scenario.curve is None:
-        print("synthesize needs a geometric scenario with a curve", file=sys.stderr)
-        return 2
+        raise ScenarioError("curve", "synthesize needs a geometric scenario with a curve")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     arc, geometry, report, schedule = geometric_pipeline(scenario, tol=args.tol)
     if not report.passed:
-        print(json.dumps({"error": "curve failed boundary validation",
-                          **report.as_dict()}, indent=2, sort_keys=True), file=sys.stderr)
+        sys.stderr.write(json_text({"error": "curve failed boundary validation",
+                                    **report.as_dict()}))
         return 1
     reconstructed = reconstruct_curve(synthesize(geometry, mode=scenario.mode))
     residual = curve_deviation(arc, reconstructed)
     suppression = end_distance(reconstructed)
-    curves.write_geometry_csv(geometry, out / "geometry.csv")
+    write_table(out / "geometry.csv", ("t", "kappa", "tau", "flag"),
+                [geometry.time_grid, geometry.curvature, geometry.torsion, geometry.flags])
     write_schedule_csv(schedule, out / "schedule.csv", out / "schedule.json",
-                       provenance={
-                           "scenario": scenario.name,
-                           "curve": scenario.curve_label,
-                           "convention": scenario.convention,
-                           "arc_length_us": arc.total_length,
-                           "roundtrip_residual": residual,
-                           "noise_term": suppression,
-                           "boundary": report.as_dict(),
-                           "solver": SOLVER,
-                           "tool_version": __version__,
-                       })
+                       provenance=_run_header(
+                           scenario, curve=scenario.curve_label,
+                           arc_length_us=arc.total_length, roundtrip_residual=residual,
+                           noise_term=suppression, boundary=report.as_dict()))
     if args.plot_script:
         _write_plot_script(out / "schedule.gp", [
             "set datafile separator ','",
@@ -128,9 +103,9 @@ def cmd_synthesize(scenario: Scenario, args) -> int:
             f"     '{out / 'schedule.csv'}' using 1:3 with lines title 'delta', \\",
             f"     '{out / 'schedule.csv'}' using 1:4 with lines title 'phi'",
         ])
-    print(json.dumps({"schedule": str(out / "schedule.csv"),
-                      "roundtrip_residual": residual,
-                      "noise_term": suppression}, indent=2, sort_keys=True))
+    sys.stdout.write(json_text({"schedule": str(out / "schedule.csv"),
+                                "roundtrip_residual": residual,
+                                "noise_term": suppression}))
     return 0
 
 
@@ -138,14 +113,8 @@ def cmd_run(scenario: Scenario, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     schemes = scenario.schemes()
-    manifest = {
-        "scenario": scenario.name,
-        "convention": scenario.convention,
-        "noise": {"delta": scenario.noise.delta, "gamma": scenario.noise.gamma},
-        "solver": SOLVER,
-        "tool_version": __version__,
-        "schemes": {},
-    }
+    manifest = _run_header(scenario, schemes={}, noise={"delta": scenario.noise.delta,
+                                                        "gamma": scenario.noise.gamma})
     failed = False
     for scheme in schemes:
         try:
@@ -156,17 +125,22 @@ def cmd_run(scenario: Scenario, args) -> int:
             manifest["schemes"][scheme] = {"error": str(exc)}
             failed = True
             continue
-        _write_populations_csv(out / f"{scheme}_ideal.csv", ideal)
-        _write_populations_csv(out / f"{scheme}_noisy.csv", noisy)
+        for kind, result in (("ideal", ideal), ("noisy", noisy)):
+            write_table(out / f"{scheme}_{kind}.csv", ("t", "p_minus1", "p_0", "p_plus1"),
+                        [result.time_grid, result.populations])
         manifest["schemes"][scheme] = {
             "params": _scheme_params(scenario, scheme),
             "warnings": list(schedule.warnings),
             "duration_us": schedule.duration,
+            "steps": noisy.metadata["steps"],
             "ideal_final_p_plus1": ideal.final_fidelity,
+            "ideal_norm_defect": ideal.trace_defect,
             "noisy_final_p_plus1": noisy.final_fidelity,
             "noisy_trace_defect": noisy.trace_defect,
+            "noisy_hermiticity_defect": noisy.metadata["hermiticity_defect"],
+            "noisy_min_eigenvalue": noisy.metadata["min_eigenvalue"],
         }
-    _write_json(out / "manifest.json", manifest)
+    (out / "manifest.json").write_text(json_text(manifest))
     if args.plot_script:
         lines = ["set datafile separator ','", "set xlabel 't (us)'", "set ylabel 'population'"]
         for scheme in schemes:
@@ -175,15 +149,13 @@ def cmd_run(scenario: Scenario, args) -> int:
                              f"'' using 1:3 with lines title 'P0', '' using 1:4 with lines title 'P+1'")
                 lines.append("pause -1")
         _write_plot_script(out / "populations.gp", lines)
-    print(json.dumps({scheme: manifest["schemes"][scheme] for scheme in schemes},
-                     indent=2, sort_keys=True))
+    sys.stdout.write(json_text({scheme: manifest["schemes"][scheme] for scheme in schemes}))
     return 1 if failed else 0
 
 
 def cmd_sweep(scenario: Scenario, args) -> int:
     if scenario.sweep is None:
-        print("sweep command needs a 'sweep' block in the scenario", file=sys.stderr)
-        return 2
+        raise ScenarioError("sweep", "the sweep command needs a 'sweep' block in the scenario")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = scenario.sweep
@@ -202,31 +174,22 @@ def cmd_sweep(scenario: Scenario, args) -> int:
                            "max_trace_defect": float(rows[:, 3].max()),
                            "min_eigenvalue": float(rows[:, 4].min())}
         results[scheme] = rows
-        _write_sweep_csv(out / f"{scheme}_sweep.csv", rows)
+        write_table(out / f"{scheme}_sweep.csv", ("delta", "p_plus1_final"), [rows[:, :2]])
         try:
             exponents[scheme] = infidelity_scaling_exponent(
                 schedule, spec.scaling_lo, spec.scaling_hi, spec.scaling_n)
         except SCHEME_ERRORS as exc:
             exponents[scheme] = f"unavailable: {exc}"
     swept = list(results)
+    fids = np.reshape([results[s][:, 1] for s in swept], (len(swept), grid.size))
+    dominant = [swept[i] for i in fids.argmax(axis=0)] if swept else [""] * grid.size
     with open(out / "ordering.csv", "w", newline="") as fh:
-        fh.write("delta," + "".join(f"p_{s}," for s in swept) + "dominant\n")
-        for i, delta in enumerate(grid):
-            fids = [results[s][i, 1] for s in swept]
-            dominant = swept[int(np.argmax(fids))] if swept else ""
-            fh.write(_fmt(delta) + "," + "".join(f"{_fmt(f)}," for f in fids)
-                     + f"{dominant}\n")
-    report = {
-        "scenario": scenario.name,
-        "convention": scenario.convention,
-        "gamma": scenario.noise.gamma,
-        "delta_grid": {"start": spec.start, "stop": spec.stop, "count": spec.count},
-        "infidelity_exponents": exponents,
-        "schemes": entries,
-        "solver": SOLVER,
-        "tool_version": __version__,
-    }
-    _write_json(out / "sweep_report.json", report)
+        fh.write(",".join(["delta", *(f"p_{s}" for s in swept), "dominant"]) + "\n")
+        fh.writelines(f"{row}{name}\n" for row, name in zip(_rows([grid, *fids], ","), dominant))
+    report = _run_header(
+        scenario, gamma=scenario.noise.gamma, infidelity_exponents=exponents, schemes=entries,
+        delta_grid={"start": spec.start, "stop": spec.stop, "count": spec.count})
+    (out / "sweep_report.json").write_text(json_text(report))
     if args.plot_script:
         lines = ["set datafile separator ','",
                  "set xlabel 'delta (rad/us)'", "set ylabel 'final P+1'",
@@ -234,7 +197,7 @@ def cmd_sweep(scenario: Scenario, args) -> int:
                      f"'{out / f'{s}_sweep.csv'}' using 1:2 with lines title '{s}'"
                      for s in swept)]
         _write_plot_script(out / "sweep.gp", lines)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(report))
     return 0 if len(swept) == len(schemes) else 1
 
 

@@ -476,11 +476,3 @@ def check_boundary_conditions(arc: ArcLengthCurve, tol: float = 1e-6) -> Boundar
         tol=tol,
     )
 
-
-def write_geometry_csv(geometry: CurveGeometry, path) -> None:
-    """Geometry CSV with header ``t,kappa,tau,flag``."""
-    table = np.column_stack([geometry.time_grid, geometry.curvature, geometry.torsion,
-                             geometry.flags])
-    with open(path, "w", newline="") as fh:
-        fh.write("t,kappa,tau,flag\n")
-        fh.writelines("%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in table.tolist())

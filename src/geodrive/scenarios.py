@@ -22,8 +22,8 @@ from .simulate import NoiseModel
 
 SCHEMES = ("geometric", "srt", "stirap", "sta")
 NATURAL = "natural"
-#: the range a run stays finite and warning-free in: durations in us, and the magnitude
-#: of the noise and sweep frequencies in rad/us (at 1e20 rad/us the stepper overflows)
+#: the range a run stays finite and warning-free in: durations and the baseline times in
+#: us, and the magnitude of every frequency in rad/us (at 1e20 rad/us the stepper overflows)
 DURATION_RANGE, MAX_FREQUENCY = (1e-6, 1e6), 1e6
 
 
@@ -87,6 +87,14 @@ def _require(mapping, key, kind, where, default=None, required=False):
     raise ScenarioError(f"{where}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
 
 
+def _time(value, field_path, alternative=""):
+    """A time in us within DURATION_RANGE."""
+    lo, hi = DURATION_RANGE
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not lo <= value <= hi:
+        raise ScenarioError(field_path, f"must be a number in [{lo:g}, {hi:g}] us{alternative}")
+    return float(value)
+
+
 def _frequency(mapping, key, where, default, convention):
     """A frequency-like float in rad/us, at most MAX_FREQUENCY in magnitude."""
     value = to_angular(_require(mapping, key, float, where, default=default), convention)
@@ -120,11 +128,15 @@ def _load_curve(spec, base_dir, convention):
     raise ScenarioError("curve", f"expected string or object, got {type(spec).__name__}")
 
 
-_BASELINES = {  # block -> (params class, ((key, frequency-like), ...))
-    "srt": (baselines.SrtParams, (("rabi", True), ("detuning", True), ("duration", False))),
-    "stirap": (baselines.StirapParams, (("peak", True), ("separation", False),
-                                        ("width", False), ("window", False))),
-    "sta": (baselines.StaParams, (("rabi", True), ("phase", False), ("duration", False))),
+#: block -> (params class, ((key, kind), ...)): a frequency and a time are range-checked,
+#: a number is only finite
+_BASELINES = {
+    "srt": (baselines.SrtParams, (("rabi", "frequency"), ("detuning", "frequency"),
+                                  ("duration", "time"))),
+    "stirap": (baselines.StirapParams, (("peak", "frequency"), ("separation", "time"),
+                                        ("width", "time"), ("window", "time"))),
+    "sta": (baselines.StaParams, (("rabi", "frequency"), ("phase", "number"),
+                                  ("duration", "time"))),
 }
 
 
@@ -135,10 +147,15 @@ def _baseline_params(raw, convention):
         block_raw = _require(raw, block, dict, "scenario", default={})
         where = f"scenario.{block}"
         kwargs = {}
-        for key, freq in keys:
-            value = _require(block_raw, key, float, where)
-            if value is not None:
-                kwargs[key] = to_angular(value, convention) if freq else value
+        for key, kind in keys:
+            if key not in block_raw:
+                continue
+            if kind == "frequency":
+                kwargs[key] = _frequency(block_raw, key, where, None, convention)
+            elif kind == "time":
+                kwargs[key] = _time(block_raw[key], f"{where}.{key}")
+            else:
+                kwargs[key] = _require(block_raw, key, float, where)
         try:
             blocks.append(cls(**kwargs))
         except baselines.BaselineParamError as exc:
@@ -184,11 +201,7 @@ def load_scenario(path, convention: str = ANGULAR) -> Scenario:
 
     duration = raw.get("duration", NATURAL)
     if duration != NATURAL:
-        lo, hi = DURATION_RANGE
-        if (not isinstance(duration, (int, float)) or isinstance(duration, bool)
-                or not lo <= duration <= hi):
-            raise ScenarioError("duration", f"must be a number in [{lo:g}, {hi:g}] us or 'natural'")
-        duration = float(duration)
+        duration = _time(duration, "duration", " or 'natural'")
 
     noise_raw = _require(raw, "noise", dict, "scenario", default={})
     delta = _frequency(noise_raw, "delta", "scenario.noise", 0.0, convention)

@@ -260,30 +260,44 @@ def curve_deviation(arc, rec, n_samples: int = 1001) -> float:
 # file formats
 # ---------------------------------------------------------------------------
 
+def _rows(columns, end="\n"):
+    """Text rows of equal-length number columns, one at a time, each closed by ``end``:
+    17 significant digits, -0 as 0."""
+    table = np.column_stack(columns) + 0.0
+    row_format = ",".join(["%.17g"] * table.shape[1]) + end
+    return (row_format % tuple(row) for row in table.tolist())
+
+
+def write_table(path, header, columns):
+    """CSV with a header row and one row per entry of the columns, LF line ends."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(_rows(columns))
+
+
+def json_text(payload) -> str:
+    """The JSON of every artifact and report: sorted keys, 2-space indent, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_schedule_csv(schedule, path, sidecar_path=None, provenance=None):
     """Schedule CSV (t,omega,delta,phi per row) plus a JSON sidecar.
 
     Two-tone schedules get the per-tone column layout instead; the sidecar
     records which one was written.
     """
-    two_tone = isinstance(schedule, TwoToneSchedule)
-    table = np.column_stack([schedule.time] + [getattr(schedule, f) for f in schedule._FIELDS])
-    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(("t",) + schedule._FIELDS) + "\n")
-        fh.writelines(row_format % tuple(row) for row in table.tolist())
+    write_table(path, ("t",) + schedule._FIELDS,
+                [schedule.time] + [getattr(schedule, f) for f in schedule._FIELDS])
     if sidecar_path is not None:
         meta = {
-            "layout": "two-tone" if two_tone else "common-envelope",
+            "layout": "two-tone" if isinstance(schedule, TwoToneSchedule) else "common-envelope",
             "mode": getattr(schedule, "mode", None),
             "duration_us": schedule.duration,
             "grid_size": int(schedule.time.size),
             "warnings": list(schedule.warnings),
         }
-        meta.update(provenance or {})
         with open(sidecar_path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text({**meta, **(provenance or {})}))
 
 
 def read_schedule_csv(path, mode=PHASE_MODE):

@@ -1,22 +1,21 @@
-import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geodrive import cli
+from geodrive import cli, schedules
 from geodrive.cli import main
-from geodrive.curves import CurveGeometry, curve_from_expressions, write_geometry_csv
+from geodrive.curves import curve_from_expressions
 from geodrive.operators import IntegrationFailure
 from geodrive.scenarios import ScenarioError, load_scenario
-from geodrive.schedules import write_schedule_csv
-from geodrive.simulate import NoiseModel, run_lindblad
+from geodrive.schedules import ControlSchedule, TwoToneSchedule
+from geodrive.simulate import NoiseModel, run_lindblad, run_schrodinger
 from test_curves import DYNAMIC_OPENBLAS, REFERENCE_EXPRESSIONS
 
 REFERENCE = {
@@ -200,10 +199,12 @@ class TestValidateCurveCommand:
         assert code == 2
         assert "curve.table" in err and reason in err and "Traceback" not in err
 
-    def test_baseline_scenario_is_input_error(self, tmp_path):
-        payload = {"version": 1, "scheme": "sta"}
-        code = main(["validate-curve", "--scenario", str(write_scenario(tmp_path, payload))])
-        assert code == 2
+    def test_baseline_scenario_is_input_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"version": 1, "scheme": "sta"})
+        for command, out_args in (("validate-curve", []), ("synthesize", ["--out", "o"])):
+            assert main([command, "--scenario", str(path), *out_args]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("scenario error: curve: ") and command in err
 
 
 @pytest.mark.parametrize("command", ["validate-curve", "synthesize"])
@@ -281,7 +282,7 @@ class TestSynthesizeCommand:
 
 
 class TestRunCommand:
-    def test_single_scheme_outputs(self, tmp_path, capsys):
+    def test_single_scheme_outputs(self, tmp_path, capsys, sta):
         payload = {"version": 1, "name": "sta-only", "scheme": "sta",
                    "noise": {"delta": 0.5, "gamma": 0.002}}
         path = write_scenario(tmp_path, payload)
@@ -295,7 +296,16 @@ class TestRunCommand:
         sums = noisy["p_minus1"] + noisy["p_0"] + noisy["p_plus1"]
         assert np.max(np.abs(sums - 1)) <= 1e-6
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["schemes"]["sta"]["ideal_final_p_plus1"] >= 1 - 1e-6
+        entry = manifest["schemes"]["sta"]
+        assert entry["ideal_final_p_plus1"] >= 1 - 1e-6
+        # every defect the two solves computed is reported, none repaired
+        ideal = run_schrodinger(sta)
+        noisy = run_lindblad(sta, NoiseModel(delta=0.5, gamma=0.002))
+        assert entry["steps"] == ideal.metadata["steps"] == noisy.metadata["steps"] == 1000
+        assert entry["ideal_norm_defect"] == ideal.trace_defect <= 1e-12
+        assert entry["noisy_trace_defect"] == noisy.trace_defect <= 1e-12
+        assert entry["noisy_hermiticity_defect"] == noisy.metadata["hermiticity_defect"] <= 1e-12
+        assert entry["noisy_min_eigenvalue"] == noisy.metadata["min_eigenvalue"] >= -1e-12
 
     def test_bundle_produces_eight_csvs(self, tmp_path, capsys):
         payload = {**REFERENCE, "scheme": "all", "name": "fig5"}
@@ -312,66 +322,60 @@ class TestRunCommand:
         assert geo["noisy_final_p_plus1"] >= 0.98
 
 
-def _per_value_populations_csv(path, result):
-    """The writer as it was: one ``format(v + 0.0, ".17g")`` per value."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,p_minus1,p_0,p_plus1\n")
-        for t, row in zip(result.time_grid, result.populations):
-            fh.write(",".join(format(float(v) + 0.0, ".17g") for v in (t, *row)) + "\n")
-
-
 #: values whose text is easy to get wrong: signed zero, tiny, huge, round
 AWKWARD_VALUES = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e300, 1.0, 0.1, 1 / 3, -2.5,
                   123456789.0, 1e-5, -0.0, 2.0**-1074, 0.5, 1e16, 1e17, 1 - 1e-16,
                   7e-8, 3.0, -1.0, 0.25, 1e22, -0.0]
 
+#: the header of each table the commands write; ordering.csv's numbers are rows of the
+#: same writer, ahead of its text column
+TABLE_LAYOUTS = {
+    "populations": ("t", "p_minus1", "p_0", "p_plus1"),
+    "sweep": ("delta", "p_plus1_final"),
+    "ordering": ("delta", "p_geometric", "p_srt", "p_stirap", "p_sta"),
+    "geometry": ("t", "kappa", "tau", "flag"),
+    "schedule": ("t",) + ControlSchedule._FIELDS,
+    "two-tone-schedule": ("t",) + TwoToneSchedule._FIELDS,
+}
 
-def test_population_csv_matches_per_value_writer(tmp_path, sta):
-    result = run_lindblad(sta, NoiseModel(delta=0.3, gamma=0.002), n_samples=201)
-    populations = result.populations.copy()
-    populations[:8] = np.reshape(AWKWARD_VALUES, (8, 3))
-    result = replace(result, populations=populations)
-    cli._write_populations_csv(tmp_path / "new.csv", result)
-    _per_value_populations_csv(tmp_path / "old.csv", result)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-
-def _per_value_geometry_csv(geometry, path):
-    """The geometry writer as it was: one f-string per row, keeping -0."""
+def _per_value_table(path, header, table):
+    """The reference writer: one ``format(v + 0.0, ".17g")`` per value, so -0 reads 0."""
     with open(path, "w", newline="") as fh:
-        fh.write("t,kappa,tau,flag\n")
-        for t, k, tau, flag in zip(geometry.time_grid, geometry.curvature,
-                                   geometry.torsion, geometry.flags):
-            fh.write(f"{t:.17g},{k:.17g},{tau:.17g},{int(flag)}\n")
+        fh.write(",".join(header) + "\n")
+        for row in table:
+            fh.write(",".join(format(float(v) + 0.0, ".17g") for v in row) + "\n")
 
 
-def _per_value_schedule_csv(schedule, path):
-    """The schedule writer as it was: one ``f"{v:.17g}"`` per value, keeping -0."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(("t",) + schedule._FIELDS) + "\n")
-        cols = [schedule.time] + [getattr(schedule, f) for f in schedule._FIELDS]
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+def _tokens(text):
+    return re.split(r"[,\n]", text)
 
 
-@pytest.mark.parametrize("kind", ["geometry", "schedule", "two-tone-schedule"])
-def test_geometry_and_schedule_csv_match_per_value_writer(tmp_path, sta, srt, kind):
-    """``synthesize`` writes both files; their bytes must not move, -0 included."""
-    if kind == "geometry":
-        value = CurveGeometry(*np.zeros((3, 101)), flags=np.arange(101) % 3 == 0)
-        names = ("time_grid", "curvature", "torsion")
-        write, old = write_geometry_csv, _per_value_geometry_csv
-    else:
-        value = copy.copy(sta if kind == "schedule" else srt)
-        names = ("time",) + value._FIELDS
-        write, old = write_schedule_csv, _per_value_schedule_csv
-    table = np.random.default_rng(5).normal(size=(getattr(value, names[0]).size, len(names)))
+@pytest.mark.parametrize("layout", TABLE_LAYOUTS)
+def test_table_writer_matches_per_value_writer(tmp_path, layout):
+    """Every table keeps 17 significant digits and writes -0 as 0."""
+    header = TABLE_LAYOUTS[layout]
+    table = np.random.default_rng(5).normal(size=(101, len(header)))
     table.ravel()[:24] = AWKWARD_VALUES
-    for name, column in zip(names, table.T):
-        setattr(value, name, column)
-    write(value, tmp_path / "new.csv")
-    old(value, tmp_path / "old.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # the commands pass single columns and blocks of columns alike
+    schedules.write_table(tmp_path / "new.csv", header, [table[:, 0], table[:, 1:]])
+    _per_value_table(tmp_path / "old.csv", header, table)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert "-0" not in _tokens(new.decode())
+
+
+def test_planar_detuning_curve_writes_no_negative_zero(tmp_path, capsys):
+    # a planar curve has zero torsion, so detuning mode's delta = -tau is -0 on every sample
+    payload = {"version": 1, "scheme": "geometric", "mode": "detuning",
+               "curve": {"x": "0", "y": "(2*d-1)*sin(pi*d)^2", "z": "sin(pi*d)/pi"}}
+    out = tmp_path / "o"
+    assert main(["synthesize", "--scenario", str(write_scenario(tmp_path, payload)),
+                 "--out", str(out)]) == 0
+    delta = read_csv(out / "schedule.csv")["delta"]
+    assert delta.size == 2001 and not delta.any()
+    for name in ("schedule.csv", "geometry.csv"):
+        assert "-0" not in _tokens((out / name).read_text())
 
 
 BAD_BASELINES = [
@@ -431,6 +435,11 @@ EXTREME = [
     ("run", {"noise": {"delta": 2e5}}, ["--convention", "cyclic"], "scenario.noise.delta"),
     ("sweep", {"sweep": {"stop": 1e300}}, [], "scenario.sweep.stop"),
     ("sweep", {"sweep": {"scaling": {"hi": 1e300}}}, [], "scenario.sweep.scaling.hi"),
+    ("run", {"scheme": "all", "srt": {"rabi": 1e300}}, [], "scenario.srt.rabi"),
+    ("run", {"scheme": "all", "stirap": {"peak": 1e300}}, [], "scenario.stirap.peak"),
+    ("run", {"scheme": "all", "srt": {"duration": 1e300}}, [], "scenario.srt.duration"),
+    ("run", {"scheme": "all", "stirap": {"window": 1e300}}, [], "scenario.stirap.window"),
+    ("sweep", {"scheme": "all", "stirap": {"width": 1e-300}}, [], "scenario.stirap.width"),
 ]
 
 
@@ -448,14 +457,30 @@ def test_finite_extreme_is_input_error(tmp_path, capsys, command, change, flags,
     assert not (tmp_path / "o").exists()
 
 
-def test_range_edges_are_accepted(tmp_path):
-    # the edges of the ranges load: durations of 1e-6 and 1e6 us, frequencies of 1e6 rad/us
+def test_range_edges_are_accepted(tmp_path, capsys):
+    # the edges of the ranges load, run and sweep: durations and baseline times of 1e-6 and
+    # 1e6 us, frequencies of 1e6 rad/us; the constant pulse needs its pulse area of pi, which
+    # at 1e-6 us would take 4.4e6 rad/us, so it sits at its 1e6 us edge in both rounds
     for duration, rate in ((1e-6, 1e6), (1e6, -1e6)):
-        payload = {**REFERENCE, "duration": duration, "noise": {"delta": rate, "gamma": abs(rate)},
-                   "sweep": {"start": -rate, "stop": rate, "scaling": {"lo": rate, "hi": rate}}}
-        scenario = load_scenario(write_scenario(tmp_path, payload))
+        times = {"separation": duration, "width": duration, "window": duration}
+        payload = {**REFERENCE, "scheme": "all", "duration": duration,
+                   "noise": {"delta": rate, "gamma": abs(rate)},
+                   "sweep": {"start": -rate, "stop": rate, "count": 3,
+                             "scaling": {"lo": rate, "hi": rate}},
+                   "srt": {"rabi": abs(rate), "detuning": rate, "duration": duration},
+                   # a 1e6 rad/us peak over 1e6 us Gaussians overflows the Lindblad solve
+                   "stirap": {**times, "peak": abs(rate)} if duration < 1 else times,
+                   "sta": {"rabi": 2**0.5 * np.pi / 1e6, "duration": 1e6}}
+        path = write_scenario(tmp_path, payload)
+        scenario = load_scenario(path)
         assert scenario.duration == duration and scenario.noise.delta == rate
         assert scenario.sweep.start == -rate and scenario.sweep.scaling_hi == rate
+        assert scenario.srt.duration == duration and scenario.stirap.window == duration
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("run", "sweep"):
+                assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
 
 
 @pytest.mark.skipif(not DYNAMIC_OPENBLAS, reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
@@ -487,9 +512,11 @@ def test_outputs_across_blas_kernels(tmp_path, capsys, core):
 
 
 class TestSweepCommand:
-    def test_requires_sweep_block(self, tmp_path):
+    def test_requires_sweep_block(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"version": 1, "scheme": "sta"})
         assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: sweep: ")
+        assert not (tmp_path / "s").exists()
 
     def test_sta_sweep_outputs(self, tmp_path, capsys):
         payload = {"version": 1, "scheme": "sta", "noise": {"gamma": 0.0},

@@ -9,11 +9,12 @@ import pytest
 import sympy as sp
 
 from geodrive import curves
+from geodrive.cli import main
 from geodrive.curves import (CurveExpressionError, DegenerateCurveError,
                              ParametricCurve, check_boundary_conditions,
                              curvature_torsion, curve_from_expressions,
                              curve_from_table, read_curve_table, reference_curve,
-                             reparametrize_by_arclength, write_geometry_csv)
+                             reparametrize_by_arclength)
 from geodrive.schedules import reconstruct_curve, synthesize
 
 SQRT2 = np.sqrt(2.0)
@@ -414,9 +415,17 @@ def test_expression_constant_folding_and_powers(text, value):
     assert position[0, 0] == pytest.approx(value, rel=1e-15)
 
 
-def test_geometry_csv_output(tmp_path, reference_geometry):
+def test_geometry_csv_output(tmp_path, capsys, reference_geometry):
+    # synthesize writes the geometry it sampled; 17 significant digits read back exactly
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"version": 1, "scheme": "geometric", "curve": "reference"}')
+    assert main(["synthesize", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
     path = tmp_path / "geometry.csv"
-    write_geometry_csv(reference_geometry, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,kappa,tau,flag"
     assert len(lines) == reference_geometry.time_grid.size + 1
+    t, kappa, tau, flag = np.loadtxt(path, delimiter=",", skiprows=1).T
+    assert t.tobytes() == reference_geometry.time_grid.tobytes()
+    assert kappa.tobytes() == reference_geometry.curvature.tobytes()
+    assert tau.tobytes() == (reference_geometry.torsion + 0.0).tobytes()
+    assert np.array_equal(flag, reference_geometry.flags)
