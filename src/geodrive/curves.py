@@ -90,8 +90,11 @@ _FOLD = {"sin": math.sin, "cos": math.cos, "Add": operator.add, "Mult": operator
 
 
 def _fold(op, *args):
-    """The node (op, *args), or its value when every operand is a float."""
-    return _FOLD[op](*args) if all(isinstance(x, float) for x in args) else (op, *args)
+    """The node (op, *args), or its value when every operand is a float; a product
+    with a factor 0.0 is 0.0, as its jet rows are, so a division by it is seen."""
+    if all(isinstance(x, float) for x in args):
+        return _FOLD[op](*args)
+    return 0.0 if op == "Mult" and 0.0 in args else (op, *args)
 
 
 def _compile(node):
@@ -99,7 +102,8 @@ def _compile(node):
     with a - b as a + (-1) b and every subexpression free of d folded to a float.
 
     An exponent must be free of d, and an integer unless its base is free of d
-    too; this and anything outside the grammar raises ValueError.
+    too; this, a divisor that folds to 0, a constant power that overflows a
+    float and anything outside the grammar raise ValueError.
     """
     match node:
         case ast.Constant(value=int() | float() as value) if not isinstance(value, bool):
@@ -115,13 +119,19 @@ def _compile(node):
         case ast.BinOp(op=ast.Sub()):
             return _fold("Add", _compile(node.left), _fold("Mult", -1.0, _compile(node.right)))
         case ast.BinOp(op=ast.Add() | ast.Mult() | ast.Div()):
-            return _fold(type(node.op).__name__, _compile(node.left), _compile(node.right))
+            left, right = _compile(node.left), _compile(node.right)
+            if isinstance(node.op, ast.Div) and right == 0.0:
+                raise ValueError("division by zero")
+            return _fold(type(node.op).__name__, left, right)
         case ast.BinOp(op=ast.Pow()):
             base, exponent = _compile(node.left), _compile(node.right)
             if not isinstance(exponent, float):
                 raise ValueError(f"exponent {ast.unparse(node.right)!r} depends on d")
             if isinstance(base, float):
-                value = base ** exponent
+                try:
+                    value = base ** exponent
+                except OverflowError:
+                    raise ValueError(f"{ast.unparse(node)!r} overflows a float") from None
                 if isinstance(value, complex):
                     raise ValueError(f"{ast.unparse(node)!r} is not a real number")
                 return value

@@ -128,14 +128,15 @@ def pchip_slopes(x, y):
     """Knot slopes of the PCHIP interpolant through (x, y), y (n, m), n >= 3.
 
     Inside, the weighted harmonic mean of the two secants, or 0 where they
-    differ in sign or one vanishes; at each end, a three-point estimate,
+    differ in sign, one vanishes or one is so small that its weight / secant
+    overflows (scipy's slope there too); at each end, a three-point estimate,
     zeroed or clipped to 3 secants so that it keeps the data's shape.
     """
     h = np.diff(x)[:, None]
     m = np.diff(y, axis=0) / h
     w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
     flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
     ends = []
     for h0, h1, m0, m1 in ((h[0], h[1], m[0], m[1]), (h[-1], h[-2], m[-1], m[-2])):

@@ -54,7 +54,8 @@ _X6, _X7, _Y2 = 11 * (_R - 9) / 3360, (89 - _R) / 2240, (857 - 58 * _R) / 630
 
 
 class IntegrationFailure(RuntimeError):
-    """Propagation could not continue (non-finite H, step-size underflow)."""
+    """Propagation could not continue: H(t) is not finite at a step node (the
+    test-only DOP853 driver raises it on a failed solve too)."""
 
     def __init__(self, message: str, time: float):
         super().__init__(f"{message} (at t = {time:.6g} us)")

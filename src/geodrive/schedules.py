@@ -223,17 +223,6 @@ def noise_term(schedule) -> float:
     return end_distance(reconstruct_curve(schedule))
 
 
-def _initial_normal(arc):
-    """First well-defined unit normal of an arc-length curve."""
-    probes = np.linspace(0.0, arc.total_length * 1e-3, 7)
-    seconds = arc.jet(probes)[2]
-    norms = np.linalg.norm(seconds, axis=1)
-    for vec, mag in zip(seconds, norms):
-        if mag > 1e-9:
-            return vec / mag
-    raise ValueError("curve has vanishing curvature near t = 0")
-
-
 def roundtrip_deviation(arc, schedule, n_samples: int = 1001) -> float:
     """Max |R_z(gamma) r(t) - r_rec(t)| between a curve and its reconstruction."""
     return curve_deviation(arc, reconstruct_curve(schedule), n_samples)
@@ -242,18 +231,16 @@ def roundtrip_deviation(arc, schedule, n_samples: int = 1001) -> float:
 def curve_deviation(arc, rec, n_samples: int = 1001) -> float:
     """Max |R_z(gamma) r(t) - r_rec(t)| between a curve and a reconstruction.
 
-    A schedule with phi(0) = 0 reconstructs the curve with its initial
-    normal rotated onto +y; gamma removes exactly that global z-rotation
-    (the constant-phase gauge of the driving fields) before comparing.
+    The curve is defined up to a global z-rotation, the constant-phase gauge of
+    the driving fields.  gamma removes it as the least-squares rotation of the xy
+    parts over the compared samples (2-D Procrustes): with z = x + iy,
+    gamma = arg sum conj(z) z_rec.
     """
-    normal = _initial_normal(arc)
-    rec_normal = _initial_normal(rec)
-    gamma = np.arctan2(rec_normal[1], rec_normal[0]) - np.arctan2(normal[1], normal[0])
-    c, s = np.cos(gamma), np.sin(gamma)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     grid = np.linspace(0.0, min(arc.total_length, rec.total_length), n_samples)
-    reference = arc.position(grid) @ rot.T
-    return float(np.max(np.linalg.norm(reference - rec.position(grid), axis=1)))
+    reference, reconstructed = arc.position(grid), rec.position(grid)
+    z, z_rec = (p[:, 0] + 1j * p[:, 1] for p in (reference, reconstructed))
+    rotated = z * np.exp(1j * np.angle(np.vdot(z, z_rec)))
+    return float(np.max(np.hypot(np.abs(rotated - z_rec), reference[:, 2] - reconstructed[:, 2])))
 
 
 # ---------------------------------------------------------------------------

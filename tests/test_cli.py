@@ -159,6 +159,10 @@ class TestValidateCurveCommand:
         ("(lambda: d)()", "unsupported syntax"),
         ("d % 2", "unsupported syntax"),
         ("d + 1/(2 - 2)", "division by zero"),
+        ("d/0", "division by zero"),
+        ("sin(pi*d)/(1-1)", "division by zero"),
+        ("d + 1/(0*d)", "division by zero"),
+        ("10^400*d", "'10 ** 400' overflows a float"),
         ("d*(-8)^(1/3)", "not a real number"),
     ])
     def test_expression_outside_grammar_is_input_error(self, tmp_path, capsys, text, reason):
@@ -265,6 +269,26 @@ class TestSynthesizeCommand:
         path = write_scenario(tmp_path, REFERENCE)
         assert main(["synthesize", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
         assert len(solves) == 1
+
+    def test_curve_with_kappa_zero_at_start_synthesizes(self, tmp_path, capsys):
+        # a smooth turn-on (Omega -> 0 at t = 0) has no normal there to align; the
+        # roundtrip gauge is a fit over the whole curve, so it needs none
+        curve = {"x": "sin(pi*d)^8", "y": "sin(pi*d)^8*cos(pi*d)", "z": "sin(pi*d)/pi"}
+        path = write_scenario(tmp_path, {**REFERENCE, "curve": curve})
+        out = tmp_path / "out"
+        assert main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+        assert json.loads((out / "schedule.json").read_text())["roundtrip_residual"] <= 1e-4
+
+    def test_subnormal_phase_secants_synthesize(self, tmp_path, capsys):
+        # x = 1e-308 d leaves phi with secants near 1e-311, whose PCHIP weight / secant
+        # overflows; the curve is all but planar, with an inflection that Omega = kappa
+        # does not follow, so its roundtrip residual is not small
+        curve = dict(zip("xyz", ("1e-308*d",) + REFERENCE_EXPRESSIONS[1:]))
+        path = write_scenario(tmp_path, {**REFERENCE, "curve": curve})
+        assert main(["synthesize", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert "Warning" not in capsys.readouterr().err
 
     def test_failing_curve_aborts(self, tmp_path, capsys):
         payload = {**REFERENCE, "curve": {"x": "0", "y": "0", "z": "3*d"}}

@@ -206,3 +206,21 @@ class TestTangentConsistency:
             formula = tangent_from_angles(angles)
             sampled = rec.jet(angles.time - angles.time[0])[1]
             assert np.max(np.abs(formula - sampled)) <= 1e-6
+
+    @pytest.mark.parametrize("fixture", ["natural_schedule", "detuning_schedule"])
+    def test_angles_follow_input_tangent(self, request, reference_arc, fixture):
+        # U^dag K_z U = T . K: theta = arccos T_z of the input curve's unit tangent, and
+        # C = alpha + frame_offset is its azimuth atan2(-T_y, -T_x) plus a constant, the
+        # z-rotation gauge that the roundtrip fits by least squares
+        schedule = request.getfixturevalue(fixture)
+        angles = angles_from_schedule(schedule, n_samples=2001)
+        tangent = reference_arc.jet(angles.time - angles.time[0])[1]
+        assert np.max(np.abs(angles.theta - np.arccos(np.clip(tangent[:, 2], -1, 1)))) <= 1e-6
+        grid = np.linspace(0.0, reference_arc.total_length, 1001)
+        z, z_rec = (arc.position(grid) @ [1, 1j, 0]
+                    for arc in (reference_arc, reconstruct_curve(schedule)))
+        gamma = np.angle(np.vdot(z, z_rec))
+        well = np.sin(angles.theta) > 1e-2
+        offset = wrap_angle(angles.alpha + angles.frame_offset
+                            - np.arctan2(-tangent[:, 1], -tangent[:, 0]), gamma)[well] - gamma
+        assert np.ptp(offset) <= 1e-5 and np.max(np.abs(offset)) <= 1e-5

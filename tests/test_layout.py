@@ -2,6 +2,8 @@
 and a private name that nothing calls is gone."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,3 +69,27 @@ def test_every_private_definition_is_used():
                if not any(used == name and not (where == path and first <= line <= last)
                           for where, used, line in references)]
     assert orphans == [], "private names nothing in src or geobench uses:\n" + "\n".join(orphans)
+
+
+def test_benchmark_spans_name_live_functions():
+    """geobench/spans.py wraps each ``TRACED`` name as a function of its geodrive module,
+    and ``Tracer.install`` reads attributes such as ``operators._integrate`` from
+    ``sys.modules["geodrive.<module>"]``: each of them exists under its name."""
+    tree = ast.parse((ROOT / "geobench" / "spans.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "TRACED")
+    missing = []
+    for module, names in traced.items():
+        for name in names:
+            function = getattr(importlib.import_module(f"geodrive.{module}"), name, None)
+            if not (inspect.isfunction(function) and function.__module__ == f"geodrive.{module}"):
+                missing.append(f"{module}.{name}")
+    read = {(node.value.slice.value, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Subscript)
+            and isinstance(node.value.slice, ast.Constant)
+            and str(node.value.slice.value).startswith("geodrive.")}
+    assert ("geodrive.operators", "_integrate") in read
+    missing += [f"{module}.{name}" for module, name in sorted(read)
+                if not hasattr(importlib.import_module(module), name)]
+    assert missing == [], "named in geobench/spans.py but not in geodrive:\n" + "\n".join(missing)

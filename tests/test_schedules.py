@@ -139,6 +139,14 @@ class TestReconstruction:
     def test_roundtrip_detuning_mode(self, reference_arc, detuning_schedule):
         assert roundtrip_deviation(reference_arc, detuning_schedule) <= 1e-4
 
+    @pytest.mark.parametrize("fixture", ["natural_schedule", "detuning_schedule"])
+    def test_roundtrip_residual_is_the_closure_error(self, request, reference_arc, fixture):
+        # with the least-squares gauge the residual measures the reconstruction, not the
+        # gauge step: at least its end gap |r_rec(L)|, as the input curve closes
+        schedule = request.getfixturevalue(fixture)
+        deviation = roundtrip_deviation(reference_arc, schedule)
+        assert noise_term(schedule) - 1e-12 <= deviation <= 2e-8
+
     def test_helix_geometry_survives_roundtrip(self):
         # reconstruct from a helix schedule, then re-measure kappa and tau
         a, pitch = 1.0, 1.5
