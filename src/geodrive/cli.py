@@ -24,6 +24,9 @@ from .schedules import (_rows, curve_deviation, end_distance, json_text, reconst
 from .simulate import (SOLVER, NoiseModel, infidelity_scaling_exponent, run_lindblad,
                        run_schrodinger, sweep_delta)
 
+#: the largest noise_term and roundtrip residual of a pulse that synthesize writes
+CLOSURE_TOL = 1e-4
+
 #: failures confined to one scheme, recorded in its entry while the command goes on
 SCHEME_ERRORS = (IntegrationFailure, ValueError)
 
@@ -88,6 +91,11 @@ def cmd_synthesize(scenario: Scenario, args) -> int:
     reconstructed = reconstruct_curve(synthesize(geometry, mode=scenario.mode))
     residual = curve_deviation(arc, reconstructed)
     suppression = end_distance(reconstructed)
+    closure = {"noise_term": suppression, "roundtrip_residual": residual}
+    if above := [name for name, value in closure.items() if not value <= CLOSURE_TOL]:
+        sys.stderr.write(json_text({"error": f"the pulse does not close: {' and '.join(above)} "
+                                             f"above {CLOSURE_TOL:g}", **closure}))
+        return 1
     write_table(out / "geometry.csv", ("t", "kappa", "tau", "flag"),
                 [geometry.time_grid, geometry.curvature, geometry.torsion, geometry.flags])
     write_schedule_csv(schedule, out / "schedule.csv", out / "schedule.json",

@@ -376,11 +376,14 @@ def reparametrize_by_arclength(curve) -> ArcLengthCurve:
     def chain(t_values):
         # one inversion d(t), one jet of r(d), then the chain rule for the t-derivatives
         dv = invert(t_values)
-        v0, v1, v2, v3 = curve.derivatives(dv, 3)
-        speed = np.linalg.norm(v1, axis=1, keepdims=True)
-        if not speed.all():
-            raise DegenerateCurveError(f"curve {curve.name!r} has zero speed at "
-                                       f"d = {float(dv[np.argmin(speed)])!r}")
+        with np.errstate(all="ignore"):  # a pole inside [0, 1] raises below, unwarned
+            v0, v1, v2, v3 = jet = curve.derivatives(dv, 3)
+            speed = np.linalg.norm(v1, axis=1, keepdims=True)
+        for fault, ok in (("is not finite", np.isfinite(jet).all(axis=(0, 2))),
+                          ("has zero speed", speed[:, 0] != 0)):
+            if not ok.all():
+                raise DegenerateCurveError(
+                    f"curve {curve.name!r} {fault} at d = {float(dv[np.argmin(ok)])!r}")
         a = (v1 * v2).sum(axis=1, keepdims=True)
         b = (v2 * v2).sum(axis=1, keepdims=True) + (v1 * v3).sum(axis=1, keepdims=True)
         rdot = v1 / speed

@@ -19,6 +19,10 @@ from .numerics import simpson
 from .operators import _ENTRIES, SQRT2, propagate_operator, toggling_frame
 
 
+#: the largest Frobenius deviation of the rebuilt three-angle propagator
+RESIDUAL_TOL = 1e-6
+
+
 class InconsistentAnglesError(RuntimeError):
     """Propagator samples do not fit the three-angle factorization."""
 
@@ -133,15 +137,14 @@ def _fit_euler_angles(props):
     return theta, big_b, big_c
 
 
-def angles_from_schedule(schedule, n_samples: int = 10_001,
-                         residual_tol: float = 1e-6) -> InvariantAngles:
+def angles_from_schedule(schedule, n_samples: int = 10_001) -> InvariantAngles:
     """Extract continuous invariant angles from an integrated propagator.
 
     theta comes from the central matrix element, the azimuths from a fused
     phase fit; beta0 is extrapolated to t = 0 from the first well-resolved
     window.  Raises :class:`InconsistentAnglesError` if the rebuilt
     three-angle propagator deviates from the integrated one by more than
-    ``residual_tol`` in Frobenius norm; it is rebuilt one block of samples at
+    ``RESIDUAL_TOL`` in Frobenius norm; it is rebuilt one block of samples at
     a time, so no full-length temporary outlives its block.
     """
     t0, t1 = schedule.time_span
@@ -151,25 +154,20 @@ def angles_from_schedule(schedule, n_samples: int = 10_001,
 
     # initial-frame azimuth: quadratic extrapolation over the first samples
     # where the off-diagonals are well above the integrator noise floor
-    well = np.where(np.sin(theta) >= 1e-3)[0]
-    if well.size == 0:
-        frame_offset = 0.0
+    window = np.flatnonzero(np.sin(theta) >= 1e-3)[:60]
+    if window.size >= 3:
+        frame_offset = float(np.polyval(np.polyfit(times[window] - t0, big_b[window], 2), 0.0))
     else:
-        window = well[:min(60, well.size)]
-        if window.size >= 3:
-            coeffs = np.polyfit(times[window] - t0, big_b[window], 2)
-            frame_offset = float(np.polyval(coeffs, 0.0))
-        else:
-            frame_offset = float(big_b[window[0]])
+        frame_offset = float(big_b[window[0]]) if window.size else 0.0
 
     alpha = big_c - frame_offset
     block = _ENTRIES // 9  # samples per rebuilt block: the stepper's build bound on 3 x 3 entries
     residual = max(float(np.max(np.linalg.norm(
         evolution_operator(theta[i:i + block], big_b[i:i + block], big_c[i:i + block])
         - props[i:i + block], axis=(1, 2)))) for i in range(0, n_samples, block))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise InconsistentAnglesError(
-            f"three-angle factorization residual {residual:.3e} exceeds {residual_tol:.1e}")
+            f"three-angle factorization residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return InvariantAngles(time=times, theta=theta, beta=big_b, alpha=alpha,
                            frame_offset=frame_offset, residual=residual,
                            propagators=props)

@@ -172,8 +172,8 @@ def _propagate(schedule, y0, times, deltas, dissipator=None, grid=None):
     Hermiticity-preserving ``dissipator`` D (9, 9), -i[K, rho] + D vec(rho) on a
     density matrix, stepped in real coordinates by one Magnus step exp(A)
     (:func:`_magnus_terms`, :func:`_expm`) per interval of :func:`_step_grid`, so
-    each step lies in one PCHIP piece.  The rows w are formed per group of whole
-    builds, about _ROWS entries.  Each (block of _BLOCK steps, delta) gets its A
+    each step lies in one cubic piece of the schedule.  The rows w are formed per group
+    of whole builds, about _ROWS entries.  Each (block of _BLOCK steps, delta) gets its A
     from one (steps x m) @ (m x n^2) product (identity steps fill the last block
     up, and the last sample follows them) and its product from a pairwise up-sweep;
     a short loop carries the state from block to block.  A build that holds samples

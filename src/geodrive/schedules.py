@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import curves as _curves
-from .numerics import CubicHermite, cumulative_simpson, pchip_slopes
+from .numerics import CubicHermite, centred_slopes, cumulative_simpson
 from .operators import K_X, K_Y, K_Z, toggling_frame
 
 PHASE_MODE = "phase"
@@ -32,8 +32,9 @@ def _uniform(time):
 
 
 class _InterpolatedFields:
-    """Shared plumbing: the grid and field checks, one cached PCHIP
-    interpolant over the stacked ``_FIELDS`` columns, and range-checked field
+    """Shared plumbing: the grid and field checks, one cached fourth-order
+    interpolant over the stacked ``_FIELDS`` columns (cubic Hermite with the slopes
+    of :func:`~geodrive.numerics.centred_slopes`), and range-checked field
     values, which each subclass maps to real ``fields(times)`` (..., f), with
     H = sum_i fields_i ``_BASIS``_i over a constant Hermitian (f, 3, 3) basis."""
 
@@ -56,7 +57,7 @@ class _InterpolatedFields:
             raise ValueError(f"t = {t} outside schedule support [{t0}, {t1}]")
         if "_interpolant" not in self.__dict__:
             columns = np.stack([getattr(self, name) for name in self._FIELDS], axis=-1)
-            self._interpolant = CubicHermite(self.time, columns, pchip_slopes(self.time, columns))
+            self._interpolant = CubicHermite(self.time, columns, centred_slopes(self.time, columns))
         return tuple(np.moveaxis(self._interpolant(t)[0], -1, 0))
 
     @property
@@ -76,8 +77,9 @@ class ControlSchedule(_InterpolatedFields):
     Units: time us, omega/delta rad/us, phi rad.  ``omega`` is the reduced
     Rabi frequency; the lab-frame pump/Stokes envelopes are sqrt(2)*omega
     with phases +-phi and detunings +-delta.  Values between grid points are
-    piecewise-cubic Hermite (PCHIP) interpolated; evaluation outside the
-    grid raises.
+    cubic Hermite interpolated with fourth-order slopes, which need not keep
+    the sign of the samples, so ``fields`` clamps Omega at 0; evaluation
+    outside the grid raises.
     """
 
     time: np.ndarray
@@ -174,16 +176,13 @@ def synthesize(geometry: "_curves.CurveGeometry", mode: str = PHASE_MODE) -> Con
     if geometry.flagged_count:
         warnings = (f"{geometry.flagged_count} torsion samples were flagged "
                     "(curvature below threshold); phase continued through them",)
-    if mode == PHASE_MODE:
-        phi = cumulative_simpson(geometry.torsion, grid)
-        return ControlSchedule(time=grid, omega=geometry.curvature.copy(),
-                               delta=np.zeros_like(grid), phi=phi,
-                               mode=PHASE_MODE, warnings=warnings)
-    if mode == DETUNING_MODE:
-        return ControlSchedule(time=grid, omega=geometry.curvature.copy(),
-                               delta=-geometry.torsion, phi=np.zeros_like(grid),
-                               mode=DETUNING_MODE, warnings=warnings)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in (PHASE_MODE, DETUNING_MODE):
+        raise ValueError(f"unknown mode {mode!r}")
+    phase, zeros = mode == PHASE_MODE, np.zeros_like(grid)
+    return ControlSchedule(time=grid, omega=geometry.curvature.copy(),
+                           delta=zeros if phase else -geometry.torsion,
+                           phi=cumulative_simpson(geometry.torsion, grid) if phase else zeros,
+                           mode=mode, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

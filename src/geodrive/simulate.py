@@ -44,13 +44,8 @@ def relaxation_channels():
     Channels: (+1 -> 0), (0 -> +1), (-1 -> 0), (0 -> -1); basis order is
     (|-1>, |0>, |+1>), so index 0 is m_s = -1.
     """
-    pairs = [(2, 1), (1, 2), (0, 1), (1, 0)]  # (j, k) in basis indices
-    ops = []
-    for j, k in pairs:
-        op = np.zeros((3, 3), dtype=complex)
-        op[k, j] = 1.0
-        ops.append(op)
-    return ops
+    basis = np.eye(3, dtype=complex)
+    return [np.outer(basis[k], basis[j]) for j, k in [(2, 1), (1, 2), (0, 1), (1, 0)]]
 
 
 _CHANNELS = relaxation_channels()

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 import geodrive as gd
 from geodrive import operators
@@ -14,7 +14,7 @@ from geodrive.invariants import angles_from_schedule
 from geodrive.operators import K_Z, KET_MINUS1
 from geodrive.schedules import ControlSchedule
 from geodrive.simulate import relaxation_channels
-from physics import dissipator_superoperator
+from physics import dissipator_superoperator, fd4_slopes
 
 
 @pytest.fixture(scope="session")
@@ -106,12 +106,13 @@ def dop853_oracle():
 
 
 def _oracle_hamiltonian(schedule):
-    """H(t) of a schedule from scipy's PCHIP over its ``_FIELDS``, independent of
-    the program's interpolant: the piece by ``bisect``, each field by a float
-    Horner step over the piece's coefficients held as Python lists."""
+    """H(t) of a schedule from scipy's cubic Hermite spline over its ``_FIELDS`` with
+    the tests' own fourth-order slopes, independent of the program's interpolant:
+    the piece by ``bisect``, each field by a float Horner step over the piece's
+    coefficients held as Python lists."""
     columns = np.stack([getattr(schedule, name) for name in schedule._FIELDS], axis=-1)
-    pchip = PchipInterpolator(schedule.time, columns)
-    knots, coeffs = pchip.x.tolist(), pchip.c.transpose(1, 2, 0).tolist()
+    spline = CubicHermiteSpline(schedule.time, columns, fd4_slopes(schedule.time, columns))
+    knots, coeffs = spline.x.tolist(), spline.c.transpose(1, 2, 0).tolist()
 
     def hamiltonian(t):  # t in [t0, t1], where the piece index runs from 0 to len(coeffs) - 1
         piece = min(bisect.bisect_right(knots, t), len(coeffs)) - 1

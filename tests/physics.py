@@ -40,6 +40,23 @@ def constant_schedule(omega: float, delta: float, phi: float) -> ControlSchedule
                            mode="detuning")
 
 
+# 12 h times the 5-point first-derivative weights at the first, second and middle
+# point of the stencil (Fornberg, Math. Comp. 51, 699 (1988)); the last two points
+# of a grid take the first two rows reversed and negated
+FD4_WEIGHTS = np.array([[-25, 48, -36, 16, -3], [-3, -10, 18, -6, 1], [1, -8, 0, 8, -1]]) / 12
+
+
+def fd4_slopes(x, y) -> np.ndarray:
+    """Fourth-order knot slopes of y (n, m) on the uniform grid x, as weighted sums
+    over 5-point windows: the slopes of the schedules' interpolant, computed apart."""
+    y = np.asarray(y, dtype=float)
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    windows = np.lib.stride_tricks.sliding_window_view(y, 5, axis=0)  # (n - 4, m, 5)
+    ends = [windows[0] @ FD4_WEIGHTS[0], windows[0] @ FD4_WEIGHTS[1]]
+    ends_right = [-(windows[-1] @ FD4_WEIGHTS[1][::-1]), -(windows[-1] @ FD4_WEIGHTS[0][::-1])]
+    return np.vstack([ends, windows @ FD4_WEIGHTS[2], ends_right]) / h
+
+
 def dissipator_superoperator(jumps) -> np.ndarray:
     """sum_k L_k rho L_k^dag - {L_k^dag L_k, rho} / 2 as a (9, 9) matrix on row-major
     vec(rho), where vec(A rho B) = (A (x) B^T) vec(rho)."""

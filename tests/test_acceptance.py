@@ -140,20 +140,23 @@ def test_criterion_07_perturbative_consistency():
 def test_criterion_08_invariant_identities():
     crit = _Criterion(8, "invariant-engine identities", 10.0)
     _, _, schedule = _pipeline(mode="phase", duration=2.0)
-    # dense extraction: the C1 schedule interpolant limits the finite
-    # difference to h^2 convergence, so the defect check needs a fine grid
     angles_geo = angles_from_schedule(schedule, n_samples=80_001)
     sta = sta_schedule()
     angles_sta = angles_from_schedule(sta)
-    for tag, sched, angles in (("geometric", schedule, angles_geo),
-                               ("constant-pulse", sta, angles_sta)):
+    # the geometric theta runs to pi, where beta is undefined and the 5-point dI/dt
+    # amplifies the fitted azimuth's ~1e-10 jitter by 1/dt: its defect is taken where
+    # sin theta > 1e-3, which drops 164 of the 80 001 samples
+    for tag, sched, angles, well_posed, bound in (
+            ("geometric", schedule, angles_geo, 1e-3, 1e-7),
+            ("constant-pulse", sta, angles_sta, -np.inf, 1e-6)):
         a1 = lr_phase_series(sched, angles, 1)
         a2 = lr_phase_series(sched, angles, 2)
         a3 = lr_phase_series(sched, angles, 3)
         crit.check(f"{tag} alpha2 <= 1e-9", np.max(np.abs(a2)) <= 1e-9)
         crit.check(f"{tag} alpha1 + alpha3 <= 1e-9", np.max(np.abs(a1 + a3)) <= 1e-9)
-        crit.check(f"{tag} dI/dt defect <= 1e-6",
-                   np.max(invariant_defect(sched, angles)) <= 1e-6)
+        well = np.sin(angles.theta[2:-2]) > well_posed  # invariant_defect's samples
+        crit.check(f"{tag} dI/dt defect <= {bound:.0e}",
+                   np.max(invariant_defect(sched, angles)[well]) <= bound)
         crit.check(f"{tag} propagator rebuild <= 1e-6",
                    np.max(propagator_rebuild_error(angles)) <= 1e-6)
     crit.finish()

@@ -235,7 +235,11 @@ def test_flag_the_command_does_not_read_is_input_error(tmp_path, capsys, command
     ("synthesize", ("0", "0", "3*d^3"), "has zero speed at d = 0.0"),
     # y = 1/d is infinite at d = 0: no divide-by-zero warning ahead of the error line
     ("validate-curve", ("0", "d^-1", "d"), "produced non-finite samples"),
-], ids=["validate-curve", "synthesize", "pole-validate-curve"])
+    # x = 1/(d - 0.5) has its pole inside [0, 1]: no NaN in a geometry report
+    ("validate-curve", ("1/(d-0.5)",) + REFERENCE_EXPRESSIONS[1:], "is not finite at d = 0.5"),
+    ("synthesize", ("1/(d-0.5)",) + REFERENCE_EXPRESSIONS[1:], "is not finite at d = 0.5"),
+], ids=["validate-curve", "synthesize", "pole-validate-curve", "interior-pole-validate-curve",
+        "interior-pole-synthesize"])
 def test_zero_speed_curve_is_curve_error(tmp_path, capsys, command, curve, error):
     payload = {**REFERENCE, "curve": dict(zip("xyz", curve))}
     path = write_scenario(tmp_path, payload)
@@ -282,13 +286,24 @@ class TestSynthesizeCommand:
         assert json.loads((out / "schedule.json").read_text())["roundtrip_residual"] <= 1e-4
 
     def test_subnormal_phase_secants_synthesize(self, tmp_path, capsys):
-        # x = 1e-308 d leaves phi with secants near 1e-311, whose PCHIP weight / secant
-        # overflows; the curve is all but planar, with an inflection that Omega = kappa
-        # does not follow, so its roundtrip residual is not small
+        # x = 1e-308 d leaves phi with secants near 1e-311; the curve is all but planar,
+        # with an inflection that Omega = kappa does not follow, so its pulse does not close
         curve = dict(zip("xyz", ("1e-308*d",) + REFERENCE_EXPRESSIONS[1:]))
         path = write_scenario(tmp_path, {**REFERENCE, "curve": curve})
-        assert main(["synthesize", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert main(["synthesize", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "Warning" not in capsys.readouterr().err
+
+    def test_pulse_that_does_not_close_is_refused(self, tmp_path, capsys):
+        # the planar curve passes boundary validation, but at its inflection the Frenet
+        # frame flips and Omega = kappa >= 0 loses the sign: noise_term reads 1.47
+        curve = dict(zip("xyz", ("0",) + REFERENCE_EXPRESSIONS[1:]))
+        path = write_scenario(tmp_path, {**REFERENCE, "curve": curve})
+        out = tmp_path / "o"
+        assert main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        report = json.loads(err)
+        assert stdout == "" and not any(out.iterdir())
+        assert "noise_term" in report["error"] and report["noise_term"] > 1.0
 
     def test_failing_curve_aborts(self, tmp_path, capsys):
         payload = {**REFERENCE, "curve": {"x": "0", "y": "0", "z": "3*d"}}
@@ -390,9 +405,12 @@ def test_table_writer_matches_per_value_writer(tmp_path, layout):
 
 
 def test_planar_detuning_curve_writes_no_negative_zero(tmp_path, capsys):
-    # a planar curve has zero torsion, so detuning mode's delta = -tau is -0 on every sample
+    # a planar curve has zero torsion, so detuning mode's delta = -tau is -0 on every sample;
+    # this one, w = z + iy = i (e^(i pi d) - e^(3i pi d)) / (2 pi), turns by 3 pi with
+    # kappa > 0 throughout, so its pulse closes (noise_term 1e-11)
     payload = {"version": 1, "scheme": "geometric", "mode": "detuning",
-               "curve": {"x": "0", "y": "(2*d-1)*sin(pi*d)^2", "z": "sin(pi*d)/pi"}}
+               "curve": {"x": "0", "y": "(cos(pi*d)-cos(3*pi*d))/(2*pi)",
+                         "z": "(sin(3*pi*d)-sin(pi*d))/(2*pi)"}}
     out = tmp_path / "o"
     assert main(["synthesize", "--scenario", str(write_scenario(tmp_path, payload)),
                  "--out", str(out)]) == 0

@@ -138,8 +138,11 @@ class TestAngleExtraction:
 
 class TestInvariantEquation:
     def test_geometric_defect(self, scaled_schedule):
+        # away from the pole theta = pi, where beta is undefined and the 5-point
+        # dI/dt amplifies the fitted azimuth's jitter by 1/dt
         angles = angles_from_schedule(scaled_schedule, n_samples=80_001)
-        assert np.max(invariant_defect(scaled_schedule, angles)) <= 1e-6
+        well = np.sin(angles.theta[2:-2]) > 1e-3
+        assert np.max(invariant_defect(scaled_schedule, angles)[well]) <= 1e-7
 
     def test_sta_defect(self, sta, sta_angles):
         assert np.max(invariant_defect(sta, sta_angles)) <= 1e-6
@@ -215,7 +218,7 @@ class TestTangentConsistency:
         schedule = request.getfixturevalue(fixture)
         angles = angles_from_schedule(schedule, n_samples=2001)
         tangent = reference_arc.jet(angles.time - angles.time[0])[1]
-        assert np.max(np.abs(angles.theta - np.arccos(np.clip(tangent[:, 2], -1, 1)))) <= 1e-6
+        assert np.max(np.abs(angles.theta - np.arccos(np.clip(tangent[:, 2], -1, 1)))) <= 1e-8
         grid = np.linspace(0.0, reference_arc.total_length, 1001)
         z, z_rec = (arc.position(grid) @ [1, 1j, 0]
                     for arc in (reference_arc, reconstruct_curve(schedule)))
@@ -223,4 +226,4 @@ class TestTangentConsistency:
         well = np.sin(angles.theta) > 1e-2
         offset = wrap_angle(angles.alpha + angles.frame_offset
                             - np.arctan2(-tangent[:, 1], -tangent[:, 0]), gamma)[well] - gamma
-        assert np.ptp(offset) <= 1e-5 and np.max(np.abs(offset)) <= 1e-5
+        assert np.ptp(offset) <= 1e-6 and np.max(np.abs(offset)) <= 1e-6

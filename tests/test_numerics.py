@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, simpson
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator, make_interp_spline
+from scipy.interpolate import CubicHermiteSpline, make_interp_spline
 
 from geodrive import numerics
 from geodrive.curves import curvature_torsion, curve_from_expressions, reparametrize_by_arclength
 from geodrive.schedules import read_schedule_csv, synthesize, write_schedule_csv
+from physics import fd4_slopes
 from test_curves import REFERENCE_EXPRESSIONS
 
 
@@ -15,12 +16,13 @@ def _columns(schedule):
     return np.stack([getattr(schedule, name) for name in schedule._FIELDS], axis=-1)
 
 
-def _assert_pchip_matches(schedule, rng):
+def _assert_interpolant_matches(schedule, rng):
+    """The schedule's field values against scipy's cubic Hermite spline with the
+    tests' own fourth-order slopes."""
     columns = _columns(schedule)
     t0, t1 = schedule.time_span
     times = np.concatenate([rng.uniform(t0, t1, 20_000), schedule.time[::7], [t0, t1]])
-    with np.errstate(over="ignore"):  # scipy's w / m overflows, unsilenced, on subnormal secants
-        expected = PchipInterpolator(schedule.time, columns)(times)
+    expected = CubicHermiteSpline(schedule.time, columns, fd4_slopes(schedule.time, columns))(times)
     got = np.stack(schedule.values(times), axis=-1)
     scale = np.maximum(np.max(np.abs(columns), axis=0), 1e-300)
     assert np.max(np.abs(got - expected) / scale) <= 1e-14
@@ -37,7 +39,7 @@ def subnormal_phase_schedule():
 @pytest.mark.parametrize("name", ["natural_schedule", "stirap", "sta", "srt",
                                   "subnormal_phase_schedule"])
 def test_pchip_matches_scipy_on_shipped_schedules(request, rng, name):
-    _assert_pchip_matches(request.getfixturevalue(name), rng)
+    _assert_interpolant_matches(request.getfixturevalue(name), rng)
 
 
 def test_pchip_matches_scipy_on_jittered_csv_schedule(tmp_path, natural_schedule, rng):
@@ -55,7 +57,23 @@ def test_pchip_matches_scipy_on_jittered_csv_schedule(tmp_path, natural_schedule
     path.write_text("\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
     schedule = read_schedule_csv(path)
     assert np.ptp(np.diff(schedule.time)) > 1e-11 * step
-    _assert_pchip_matches(schedule, rng)
+    _assert_interpolant_matches(schedule, rng)
+
+
+def test_interpolant_is_fourth_order():
+    # a cubic Hermite interpolant with O(h^3) slopes is O(h^4): its error at the piece
+    # midpoints falls 16x per halving of h
+    def f(x):
+        return np.stack([np.sin(2 * np.pi * x), np.exp(x)], axis=1)
+
+    errors = []
+    for n in (161, 321, 641):
+        x = np.linspace(0.0, 2.0, n)
+        mid = (x[1:] + x[:-1]) / 2
+        interpolant = numerics.CubicHermite(x, f(x), numerics.centred_slopes(x, f(x)))
+        errors.append(np.max(np.abs(interpolant(mid)[0] - f(mid))))
+    ratios = np.array(errors[:-1]) / errors[1:]
+    assert np.all((14 <= ratios) & (ratios <= 18)), ratios
 
 
 def test_hermite_derivatives_match_scipy(rng):

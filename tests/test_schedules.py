@@ -147,6 +147,12 @@ class TestReconstruction:
         deviation = roundtrip_deviation(reference_arc, schedule)
         assert noise_term(schedule) - 1e-12 <= deviation <= 2e-8
 
+    @pytest.mark.parametrize("fixture", ["natural_schedule", "detuning_schedule"])
+    def test_reference_noise_term_at_the_magnus_floor(self, request, fixture):
+        # the fourth-order interpolant leaves the closure error at the Magnus
+        # stepper's floor: 2.0e-9 (phase) and 4.0e-10 (detuning)
+        assert noise_term(request.getfixturevalue(fixture)) <= 5e-9
+
     def test_helix_geometry_survives_roundtrip(self):
         # reconstruct from a helix schedule, then re-measure kappa and tau
         a, pitch = 1.0, 1.5
