@@ -22,9 +22,10 @@ TWO_SQRT2_PI = 2.0 * SQRT2 * np.pi
 class BaselineParamError(ValueError):
     """A baseline parameter is out of range; carries the parameter name."""
 
-    def __init__(self, param, message):
-        super().__init__(f"{param} {message}")
-        self.param = param
+    param = property(lambda self: self.args[0])  # args holds both parts, so it unpickles
+
+    def __str__(self):
+        return "%s %s" % self.args
 
 
 @dataclass

@@ -9,7 +9,11 @@ timestamps), so reruns with identical inputs are byte-identical.  Exit codes: 0 
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
+import signal
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +41,6 @@ def _run_header(scenario: Scenario, **fields):
             "solver": SOLVER, "tool_version": __version__, **fields}
 
 
-def _write_plot_script(path, lines):
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _geometry_summary(geometry):
     return {
         "kappa_min": float(geometry.curvature.min()),
@@ -61,8 +61,6 @@ def _scheme_params(scenario: Scenario, scheme: str):
 
 
 def cmd_validate_curve(scenario: Scenario, args) -> int:
-    if scenario.curve is None:
-        raise ScenarioError("curve", "validate-curve needs a geometric scenario with a curve")
     arc = curves.reparametrize_by_arclength(scenario.curve)
     report = curves.check_boundary_conditions(arc, tol=args.tol)
     geometry = curves.curvature_torsion(arc)
@@ -79,8 +77,6 @@ def cmd_validate_curve(scenario: Scenario, args) -> int:
 
 
 def cmd_synthesize(scenario: Scenario, args) -> int:
-    if scenario.curve is None:
-        raise ScenarioError("curve", "synthesize needs a geometric scenario with a curve")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     arc, geometry, report, schedule = geometric_pipeline(scenario, tol=args.tol)
@@ -104,39 +100,81 @@ def cmd_synthesize(scenario: Scenario, args) -> int:
                            arc_length_us=arc.total_length, roundtrip_residual=residual,
                            noise_term=suppression, boundary=report.as_dict()))
     if args.plot_script:
-        _write_plot_script(out / "schedule.gp", [
+        (out / "schedule.gp").write_text("\n".join([
             "set datafile separator ','",
             "set xlabel 't (us)'",
             f"plot '{out / 'schedule.csv'}' using 1:2 with lines title 'omega', \\",
             f"     '{out / 'schedule.csv'}' using 1:3 with lines title 'delta', \\",
             f"     '{out / 'schedule.csv'}' using 1:4 with lines title 'phi'",
-        ])
+        ]) + "\n")
     sys.stdout.write(json_text({"schedule": str(out / "schedule.csv"),
                                 "roundtrip_residual": residual,
                                 "noise_term": suppression}))
     return 0
 
 
+def _map_schemes(solve, schemes):
+    """[solve(s) for s in schemes] in k = min(len(schemes), CPUs in the affinity mask)
+    processes on Linux, one elsewhere: scheme i runs in process i mod k.  A forked child
+    pipes back its results or exception and its warnings; the parent re-emits them."""
+    k = min(len(schemes), len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    children = []  # (pid, read end of its pipe, its schemes)
+    try:
+        for part in (schemes[i::k] for i in range(1, k)):
+            read, write = os.pipe()
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on forking a multi-threaded process: the threads are
+                # OpenBLAS's, which its atfork handler stops, and the child runs only numpy
+                # and file writes before it _exits
+                warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child, which never returns into the caller's stack
+                try:
+                    with warnings.catch_warnings(record=True) as caught, open(write, "wb") as pipe:
+                        try:
+                            outcome = [solve(scheme) for scheme in part], None
+                        except BaseException as exc:  # raised again in the parent
+                            outcome = None, exc
+                        pickle.dump((*outcome, caught), pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb"), part))
+        results = dict(zip(schemes[::k], map(solve, schemes[::k])))
+        for _, pipe, part in children:
+            payload = pipe.read()
+            if not payload:
+                raise RuntimeError(f"the process solving {', '.join(part)} ended without a result")
+            solved, error, caught = pickle.loads(payload)
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            if error is not None:
+                raise error
+            results.update(zip(part, solved))
+    finally:  # a child whose pipe is at its end has nothing left to do
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[scheme] for scheme in schemes]
+
+
 def cmd_run(scenario: Scenario, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     schemes = scenario.schemes()
-    manifest = _run_header(scenario, schemes={}, noise={"delta": scenario.noise.delta,
-                                                        "gamma": scenario.noise.gamma})
-    failed = False
-    for scheme in schemes:
+
+    def solve(scheme):
         try:
             schedule = build_schedule(scenario, scheme)
             ideal = run_schrodinger(schedule, NoiseModel(), label=scheme)
             noisy = run_lindblad(schedule, scenario.noise, label=scheme)
         except SCHEME_ERRORS as exc:
-            manifest["schemes"][scheme] = {"error": str(exc)}
-            failed = True
-            continue
+            return {"error": str(exc)}
         for kind, result in (("ideal", ideal), ("noisy", noisy)):
             write_table(out / f"{scheme}_{kind}.csv", ("t", "p_minus1", "p_0", "p_plus1"),
                         [result.time_grid, result.populations])
-        manifest["schemes"][scheme] = {
+        return {
             "params": _scheme_params(scenario, scheme),
             "warnings": list(schedule.warnings),
             "duration_us": schedule.duration,
@@ -148,6 +186,10 @@ def cmd_run(scenario: Scenario, args) -> int:
             "noisy_hermiticity_defect": noisy.metadata["hermiticity_defect"],
             "noisy_min_eigenvalue": noisy.metadata["min_eigenvalue"],
         }
+
+    entries = dict(zip(schemes, _map_schemes(solve, schemes)))
+    manifest = _run_header(scenario, schemes=entries, noise={"delta": scenario.noise.delta,
+                                                             "gamma": scenario.noise.gamma})
     (out / "manifest.json").write_text(json_text(manifest))
     if args.plot_script:
         lines = ["set datafile separator ','", "set xlabel 't (us)'", "set ylabel 'population'"]
@@ -156,9 +198,9 @@ def cmd_run(scenario: Scenario, args) -> int:
                 lines.append(f"plot '{out / f'{scheme}_{kind}.csv'}' using 1:2 with lines title 'P-1', "
                              f"'' using 1:3 with lines title 'P0', '' using 1:4 with lines title 'P+1'")
                 lines.append("pause -1")
-        _write_plot_script(out / "populations.gp", lines)
-    sys.stdout.write(json_text({scheme: manifest["schemes"][scheme] for scheme in schemes}))
-    return 1 if failed else 0
+        (out / "populations.gp").write_text("\n".join(lines) + "\n")
+    sys.stdout.write(json_text(entries))
+    return 1 if any("error" in entry for entry in entries.values()) else 0
 
 
 def cmd_sweep(scenario: Scenario, args) -> int:
@@ -169,33 +211,36 @@ def cmd_sweep(scenario: Scenario, args) -> int:
     spec = scenario.sweep
     grid = spec.grid()
     schemes = scenario.schemes()
-    results, exponents, entries = {}, {}, {}
-    for scheme in schemes:
+
+    def solve(scheme):
+        """(entry, final P+1 over the grid, infidelity exponent); the last two None on failure."""
         try:
             schedule = build_schedule(scenario, scheme)
             rows = sweep_delta(schedule, grid, gamma=scenario.noise.gamma)
         except SCHEME_ERRORS as exc:
-            entries[scheme] = {"error": str(exc)}
-            continue
-        entries[scheme] = {"warnings": list(schedule.warnings),
-                           "max_hermiticity_defect": float(rows[:, 2].max()),
-                           "max_trace_defect": float(rows[:, 3].max()),
-                           "min_eigenvalue": float(rows[:, 4].min())}
-        results[scheme] = rows
+            return {"error": str(exc)}, None, None
         write_table(out / f"{scheme}_sweep.csv", ("delta", "p_plus1_final"), [rows[:, :2]])
         try:
-            exponents[scheme] = infidelity_scaling_exponent(
+            exponent = infidelity_scaling_exponent(
                 schedule, spec.scaling_lo, spec.scaling_hi, spec.scaling_n)
         except SCHEME_ERRORS as exc:
-            exponents[scheme] = f"unavailable: {exc}"
-    swept = list(results)
-    fids = np.reshape([results[s][:, 1] for s in swept], (len(swept), grid.size))
+            exponent = f"unavailable: {exc}"
+        return ({"warnings": list(schedule.warnings),
+                 "max_hermiticity_defect": float(rows[:, 2].max()),
+                 "max_trace_defect": float(rows[:, 3].max()),
+                 "min_eigenvalue": float(rows[:, 4].min())}, rows[:, 1], exponent)
+
+    solved = dict(zip(schemes, _map_schemes(solve, schemes)))
+    swept = [s for s in schemes if solved[s][1] is not None]
+    fids = np.reshape([solved[s][1] for s in swept], (len(swept), grid.size))
     dominant = [swept[i] for i in fids.argmax(axis=0)] if swept else [""] * grid.size
     with open(out / "ordering.csv", "w", newline="") as fh:
         fh.write(",".join(["delta", *(f"p_{s}" for s in swept), "dominant"]) + "\n")
-        fh.writelines(f"{row}{name}\n" for row, name in zip(_rows([grid, *fids], ","), dominant))
+        rows = _rows([grid, *fids], ",\n").splitlines()
+        fh.writelines(f"{row}{name}\n" for row, name in zip(rows, dominant))
     report = _run_header(
-        scenario, gamma=scenario.noise.gamma, infidelity_exponents=exponents, schemes=entries,
+        scenario, gamma=scenario.noise.gamma, schemes={s: solved[s][0] for s in schemes},
+        infidelity_exponents={s: solved[s][2] for s in swept},
         delta_grid={"start": spec.start, "stop": spec.stop, "count": spec.count})
     (out / "sweep_report.json").write_text(json_text(report))
     if args.plot_script:
@@ -204,7 +249,7 @@ def cmd_sweep(scenario: Scenario, args) -> int:
                  "plot " + ", \\\n     ".join(
                      f"'{out / f'{s}_sweep.csv'}' using 1:2 with lines title '{s}'"
                      for s in swept)]
-        _write_plot_script(out / "sweep.gp", lines)
+        (out / "sweep.gp").write_text("\n".join(lines) + "\n")
     sys.stdout.write(json_text(report))
     return 0 if len(swept) == len(schemes) else 1
 
@@ -249,12 +294,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         scenario = load_scenario(args.scenario, convention=args.convention)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    if "out" in args and args.out is None:
-        args.out = scenario.output_dir
-    try:
+        if args.command in ("validate-curve", "synthesize") and scenario.curve is None:
+            raise ScenarioError("curve", f"{args.command} needs a geometric scenario with a curve")
+        if "out" in args and args.out is None:
+            args.out = scenario.output_dir
         return args.handler(scenario, args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

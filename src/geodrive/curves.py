@@ -62,9 +62,10 @@ class DegenerateCurveError(ValueError):
 class CurveExpressionError(ValueError):
     """A user curve expression failed to parse; carries the component name."""
 
-    def __init__(self, component, message):
-        super().__init__(f"component {component!r}: {message}")
-        self.component = component
+    component = property(lambda self: self.args[0])  # args holds both parts, so it unpickles
+
+    def __str__(self):
+        return "component %r: %s" % self.args
 
 
 @dataclass

@@ -57,9 +57,10 @@ class IntegrationFailure(RuntimeError):
     """Propagation could not continue: H(t) is not finite at a step node (the
     test-only DOP853 driver raises it on a failed solve too)."""
 
-    def __init__(self, message: str, time: float):
-        super().__init__(f"{message} (at t = {time:.6g} us)")
-        self.time = time
+    time = property(lambda self: self.args[1])  # args holds both parts, so it unpickles
+
+    def __str__(self):
+        return "%s (at t = %.6g us)" % self.args
 
 
 def norm_defect(psi: np.ndarray) -> float:

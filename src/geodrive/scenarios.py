@@ -30,9 +30,10 @@ DURATION_RANGE, MAX_FREQUENCY = (1e-6, 1e6), 1e6
 class ScenarioError(ValueError):
     """Malformed scenario input; carries the offending field path."""
 
-    def __init__(self, field_path, message):
-        super().__init__(f"{field_path}: {message}")
-        self.field_path = field_path
+    field_path = property(lambda self: self.args[0])  # args holds both parts, so it unpickles
+
+    def __str__(self):
+        return "%s: %s" % self.args
 
 
 @dataclass
@@ -78,11 +79,7 @@ def _require(mapping, key, kind, where, default=None, required=False):
         if not -sys.float_info.max <= value <= sys.float_info.max:  # JSON admits NaN, Infinity
             raise ScenarioError(f"{where}.{key}", "must be a finite number")
         return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, str):
-        return value
-    if kind is dict and isinstance(value, dict):
+    if kind in (int, str, dict) and isinstance(value, kind) and not isinstance(value, bool):
         return value
     raise ScenarioError(f"{where}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
 
@@ -111,9 +108,7 @@ def _load_curve(spec, base_dir, convention):
         raise ScenarioError("curve", f"unknown builtin curve {spec!r}")
     if isinstance(spec, dict):
         if "table" in spec:
-            table = spec["table"]
-            if not isinstance(table, str):
-                raise ScenarioError("curve.table", f"expected str, got {type(table).__name__}")
+            table = _require(spec, "table", str, "curve")
             try:
                 return curves.read_curve_table(Path(base_dir) / table), f"table:{table}"
             except (OSError, ValueError) as exc:

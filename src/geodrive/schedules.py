@@ -247,18 +247,17 @@ def curve_deviation(arc, rec, n_samples: int = 1001) -> float:
 # ---------------------------------------------------------------------------
 
 def _rows(columns, end="\n"):
-    """Text rows of equal-length number columns, one at a time, each closed by ``end``:
-    17 significant digits, -0 as 0."""
+    """The text of equal-length number columns, one row per entry, each closed by ``end``:
+    17 significant digits, -0 as 0, formatted by one ``%`` over the whole table."""
     table = np.column_stack(columns) + 0.0
     row_format = ",".join(["%.17g"] * table.shape[1]) + end
-    return (row_format % tuple(row) for row in table.tolist())
+    return row_format * table.shape[0] % tuple(table.ravel().tolist())
 
 
 def write_table(path, header, columns):
     """CSV with a header row and one row per entry of the columns, LF line ends."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(_rows(columns))
+        fh.writelines([",".join(header) + "\n", _rows(columns)])
 
 
 def json_text(payload) -> str:

@@ -1,19 +1,26 @@
+import importlib
+import io
 import json
 import os
+import pickle
+import pkgutil
 import re
+import signal
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geodrive
 from geodrive import cli, schedules
 from geodrive.cli import main
 from geodrive.curves import curve_from_expressions
 from geodrive.operators import IntegrationFailure
-from geodrive.scenarios import ScenarioError, load_scenario
+from geodrive.scenarios import SCHEMES, ScenarioError, load_scenario
 from geodrive.schedules import ControlSchedule, TwoToneSchedule
 from geodrive.simulate import NoiseModel, run_lindblad, run_schrodinger
 from test_curves import DYNAMIC_OPENBLAS, REFERENCE_EXPRESSIONS
@@ -638,6 +645,168 @@ class TestReruns:
         payload = json.loads(outputs[0][report])
         assert payload["solver"] == "magnus4"
         assert "tolerances" not in payload and "unitary_solver" not in payload
+
+
+ALL_SCHEMES = {**REFERENCE, "scheme": "all",
+               "sweep": {"start": -0.2, "stop": 0.2, "count": 3,
+                         "scaling": {"lo": 0.02, "hi": 0.1, "n": 5}}}
+
+
+@pytest.fixture(params=["one-process", "affinity"])
+def processes(request, monkeypatch):
+    """Each forked-path test runs with the process count forced to 1 and at the count
+    the CPU affinity mask gives."""
+    if request.param == "one-process":
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    return request.param
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _one_process_then_forked(monkeypatch, command, path, out):
+    """(exit code, stdout, {name: bytes}) of the command in one process, then at the
+    affinity mask's count."""
+    outcomes = []
+    for label in ("one", "forked"):
+        with monkeypatch.context() as patch:
+            if label == "one":
+                patch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            stdout = io.StringIO()
+            with redirect_stdout(stdout):
+                code = main([command, "--scenario", str(path), "--out", str(out / label)])
+        files = {p.name: p.read_bytes() for p in sorted((out / label).iterdir())}
+        outcomes.append((code, stdout.getvalue().replace(str(out / label), "OUT"), files))
+    return outcomes
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_forked_schemes_write_what_one_process_writes(tmp_path, monkeypatch, command):
+    path = write_scenario(tmp_path, {**ALL_SCHEMES, "sweep": {**ALL_SCHEMES["sweep"],
+                                                              "count": 101}})
+    one, forked = _one_process_then_forked(monkeypatch, command, path, tmp_path)
+    assert one[0] == 0 and len(one[2]) == (9 if command == "run" else 6)
+    assert forked == one
+    _assert_no_child_left()
+
+
+def test_forked_scheme_error_is_recorded_in_its_entry(tmp_path, monkeypatch):
+    def failing(schedule, noise, label=""):
+        if label == "sta":
+            raise IntegrationFailure("H(t) is not finite", 0.5)
+        return real_lindblad(schedule, noise, label=label)
+
+    real_lindblad = cli.run_lindblad
+    monkeypatch.setattr(cli, "run_lindblad", failing)
+    path = write_scenario(tmp_path, ALL_SCHEMES)
+    one, forked = _one_process_then_forked(monkeypatch, "run", path, tmp_path)
+    assert forked == one and one[0] == 1
+    entries = json.loads(one[2]["manifest.json"])["schemes"]
+    assert entries["sta"] == {"error": "H(t) is not finite (at t = 0.5 us)"}
+    assert "error" not in entries["srt"] and "sta_noisy.csv" not in one[2]
+    _assert_no_child_left()
+
+
+def test_forked_exception_reaches_the_caller(tmp_path, monkeypatch, processes):
+    def warning(schedule, noise, label=""):
+        if label == "srt":
+            warnings.warn("overflow in the srt solve", RuntimeWarning)
+        return real_lindblad(schedule, noise, label=label)
+
+    real_lindblad = cli.run_lindblad
+    monkeypatch.setattr(cli, "run_lindblad", warning)
+    path = write_scenario(tmp_path, ALL_SCHEMES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow in the srt solve"):
+            main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    _assert_no_child_left()
+
+
+def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
+    """``warnings``' own display, to the sys.stderr of the moment."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_forked_warnings_reach_the_parent(tmp_path, capsys, monkeypatch, processes, command):
+    def warning(scenario, scheme):
+        warnings.warn(f"warned while building {scheme}", UserWarning)
+        return real_build(scenario, scheme)
+
+    real_build = cli.build_schedule
+    monkeypatch.setattr(cli, "build_schedule", warning)
+    write_scenario(tmp_path, ALL_SCHEMES)
+    expected = {f"warned while building {scheme}" for scheme in SCHEMES}
+    argv = [command, "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert {str(w.message) for w in caught if w.category is UserWarning} == expected
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_on_stderr
+        assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert all(err.count(f"UserWarning: {text}") == 1 for text in expected), err
+    _assert_no_child_left()
+
+
+def test_child_that_dies_without_a_result_is_an_error(tmp_path, capsys, monkeypatch,
+                                                      processes):
+    def dying(schedule, noise=None, label=""):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_schrodinger(schedule, noise, label=label)
+
+    parent, real_schrodinger = os.getpid(), cli.run_schrodinger
+    monkeypatch.setattr(cli, "run_schrodinger", dying)
+    path = write_scenario(tmp_path, ALL_SCHEMES)
+    argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "o")]
+    def hung(signum, frame):
+        raise TimeoutError("run still waits for its children after 60 s")
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        if processes == "one-process" or cpus == 1:
+            assert main(argv) == 0  # no child, so nothing dies
+        else:
+            with pytest.raises(RuntimeError, match="process solving srt.* ended without a result"):
+                main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    capsys.readouterr()
+    _assert_no_child_left()
+
+
+#: the arguments of each exception whose __init__ is not BaseException's, the
+#: attribute it carries and that attribute's value
+EXCEPTION_ARGS = {
+    "ScenarioError": (("noise.delta", "must be finite"), "field_path", "noise.delta"),
+    "BaselineParamError": (("rabi", "must be non-negative, got -1"), "param", "rabi"),
+    "CurveExpressionError": (("x", "unknown name 'q'"), "component", "x"),
+    "IntegrationFailure": (("H(t) is not finite", 1.5), "time", 1.5),
+}
+EXCEPTIONS = sorted({obj for module in pkgutil.iter_modules(geodrive.__path__)
+                     for obj in vars(importlib.import_module(f"geodrive.{module.name}")).values()
+                     if isinstance(obj, type) and issubclass(obj, BaseException)
+                     and obj.__module__.startswith("geodrive.")}, key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("kind", EXCEPTIONS, ids=[c.__name__ for c in EXCEPTIONS])
+def test_exception_survives_a_process_boundary(kind):
+    args, attribute, value = EXCEPTION_ARGS.get(
+        kind.__name__, (("the message",), "args", ("the message",)))
+    exc = kind(*args)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is kind and str(back) == str(exc)
+    assert getattr(back, attribute) == getattr(exc, attribute) == value
 
 
 @pytest.mark.parametrize("command, curve", [

@@ -38,11 +38,11 @@ def subnormal_phase_schedule():
 
 @pytest.mark.parametrize("name", ["natural_schedule", "stirap", "sta", "srt",
                                   "subnormal_phase_schedule"])
-def test_pchip_matches_scipy_on_shipped_schedules(request, rng, name):
+def test_interpolant_matches_scipy_on_shipped_schedules(request, rng, name):
     _assert_interpolant_matches(request.getfixturevalue(name), rng)
 
 
-def test_pchip_matches_scipy_on_jittered_csv_schedule(tmp_path, natural_schedule, rng):
+def test_interpolant_matches_scipy_on_jittered_csv_schedule(tmp_path, natural_schedule, rng):
     # the time column is uniform only to the 1e-9 relative that schedules accept,
     # so no piece index may be taken from (t - t0) / h
     step = natural_schedule.time[1] - natural_schedule.time[0]
